@@ -34,7 +34,6 @@ commands:
             [--algorithm concurrent-updown|simple|updown|telephone]
             [--planner fast|reference|both]
             [--stages all|tree]
-            [--engine oracle|kernel|both]
             [--out FILE] [--trace-out FILE [--wall]]
             [--profile-out PROF.json]
             [--flight-out FILE.gfr]                    build + verify a schedule;
@@ -174,11 +173,10 @@ flight recording (plan / recover / serve):
                          record: every attempted transmission, suppressed
                          delivery, round boundary, and repair epoch, plus a
                          run fingerprint (graph / schedule / fault digests).
-                         `plan` records a clean run (oracle or kernel per
-                         --engine) or, with fault flags, a lossy no-repair
-                         run; `recover` and `serve` capture the self-healing
-                         execution. Inspect with `gossip inspect`, compare
-                         runs with `gossip diff`
+                         `plan` records a clean kernel run or, with fault
+                         flags, a lossy no-repair run; `recover` and `serve`
+                         capture the self-healing execution. Inspect with
+                         `gossip inspect`, compare runs with `gossip diff`
 
 fault flags (plan / recover / serve):
   --loss-rate P     drop each delivery independently with probability P
@@ -205,13 +203,6 @@ density is explicit — at scale use p ~ 16/n to keep m ∝ n)
 
 --algo is accepted as shorthand for --algorithm, and `concurrent` for
 `concurrent-updown`
-
-verification engines (plan):
-  --engine kernel   flat-CSR bitset replay (SimKernel) — the default
-  --engine oracle   the reference Simulator
-  --engine both     run both, cross-check the outcomes, report timings;
-                    --metrics always runs the oracle too (per-round probes
-                    are an oracle feature)
 
 families: path ring star complete binary-tree caterpillar grid torus
           hypercube random-tree random-sparse";
@@ -727,29 +718,6 @@ fn parse_tree_only(args: &Args) -> Result<bool, String> {
 }
 
 /// `gossip plan`: build, verify, and summarize (optionally dump) a schedule.
-/// Which verification engine `gossip plan` runs after building a schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Engine {
-    /// The reference [`gossip_model::Simulator`] (hash/Vec state).
-    Oracle,
-    /// The flat-CSR bitset [`gossip_model::SimKernel`] (the default).
-    Kernel,
-    /// Both, cross-checked outcome-for-outcome, with timings reported.
-    Both,
-}
-
-/// Parses `--engine oracle|kernel|both` (default `kernel`).
-fn parse_engine(args: &Args) -> Result<Engine, String> {
-    match args.options.get("engine").map(String::as_str) {
-        None | Some("kernel") => Ok(Engine::Kernel),
-        Some("oracle") => Ok(Engine::Oracle),
-        Some("both") => Ok(Engine::Both),
-        Some(other) => Err(format!(
-            "--engine must be oracle, kernel, or both (got {other})"
-        )),
-    }
-}
-
 pub fn plan(args: &Args) -> Result<(), String> {
     let g = load_graph(args)?;
     let alg = parse_algorithm(args)?;
@@ -785,52 +753,25 @@ pub fn plan(args: &Args) -> Result<(), String> {
     } else {
         CommModel::Multicast
     };
-    let engine = parse_engine(args)?;
-    // Per-round probes are an oracle feature, so --metrics always runs the
-    // reference Simulator; the kernel engine then verifies on top of it.
-    let want_oracle = engine != Engine::Kernel || metrics.is_some();
-    let want_kernel = engine != Engine::Oracle;
-    let mut oracle_outcome = None;
-    let mut oracle_ms = 0.0;
-    if want_oracle {
-        let t0 = std::time::Instant::now();
-        let mut sim = gossip_model::Simulator::with_origins(&g, model, &plan.origin_of_message)
+    // Per-round probes are an oracle feature, so --metrics also runs the
+    // reference Simulator (recorded, enforcing the same model rules); the
+    // bitset kernel always verifies.
+    let oracle_outcome = match &metrics {
+        Some(m) => Some(
+            gossip_model::Simulator::with_origins(&g, model, &plan.origin_of_message)
+                .and_then(|mut sim| sim.run_recorded(&plan.schedule, &m.recorder))
+                .map_err(|e| e.to_string())?,
+        ),
+        None => None,
+    };
+    let outcome =
+        gossip_model::validate_gossip_schedule(&g, &plan.schedule, &plan.origin_of_message, model)
             .map_err(|e| e.to_string())?;
-        // The recorded run enforces the same model rules and additionally
-        // streams per-round probes (sent / fan-out / idle / coverage).
-        let o = match &metrics {
-            Some(m) => sim.run_recorded(&plan.schedule, &m.recorder),
-            None => sim.run(&plan.schedule),
-        }
-        .map_err(|e| e.to_string())?;
-        oracle_ms = t0.elapsed().as_secs_f64() * 1e3;
-        oracle_outcome = Some(o);
+    if let Some(a) = oracle_outcome.filter(|a| *a != outcome) {
+        return Err(format!(
+            "verification engines disagree (bug): oracle {a:?} vs kernel {outcome:?}"
+        ));
     }
-    let mut kernel_outcome = None;
-    let mut kernel_ms = 0.0;
-    if want_kernel {
-        let t0 = std::time::Instant::now();
-        let o = gossip_model::validate_gossip_schedule(
-            &g,
-            &plan.schedule,
-            &plan.origin_of_message,
-            model,
-        )
-        .map_err(|e| e.to_string())?;
-        kernel_ms = t0.elapsed().as_secs_f64() * 1e3;
-        kernel_outcome = Some(o);
-    }
-    if let (Some(a), Some(b)) = (&oracle_outcome, &kernel_outcome) {
-        if a != b {
-            return Err(format!(
-                "verification engines disagree (bug): oracle {a:?} vs kernel {b:?}"
-            ));
-        }
-    }
-    let both_ran = oracle_outcome.is_some() && kernel_outcome.is_some();
-    let outcome = kernel_outcome
-        .or(oracle_outcome)
-        .expect("at least one engine always runs");
     if !outcome.complete {
         return Err("schedule did not complete gossip (bug)".into());
     }
@@ -921,23 +862,11 @@ pub fn plan(args: &Args) -> Result<(), String> {
     let stats = plan.schedule.stats();
     out!(
         out,
-        "verified ({}): complete; {} transmissions, {} deliveries, max fanout {}",
-        match engine {
-            Engine::Oracle => "oracle simulator",
-            Engine::Kernel => "bitset kernel",
-            Engine::Both => "oracle + kernel, outcomes identical",
-        },
+        "verified (bitset kernel): complete; {} transmissions, {} deliveries, max fanout {}",
         stats.transmissions,
         stats.deliveries,
         stats.max_fanout
     );
-    if both_ran && engine == Engine::Both {
-        out!(
-            out,
-            "engine timings: oracle {oracle_ms:.2} ms, kernel {kernel_ms:.2} ms ({:.1}x)",
-            oracle_ms / kernel_ms.max(1e-9)
-        );
-    }
     if let Some(note) = &planner_note {
         out!(out, "{note}");
     }
@@ -1007,11 +936,7 @@ pub fn plan(args: &Args) -> Result<(), String> {
         // clean capture of the same plan.
         let flat = gossip_model::FlatSchedule::from_schedule(&plan.schedule);
         let faults = parse_fault_plan(args, g.n())?;
-        let label = match (&faults, engine) {
-            (Some(_), _) => "lossy",
-            (None, Engine::Oracle) => "oracle",
-            (None, _) => "kernel",
-        };
+        let label = if faults.is_some() { "lossy" } else { "kernel" };
         let header = flight_header(
             label,
             &g,
@@ -1021,26 +946,15 @@ pub fn plan(args: &Args) -> Result<(), String> {
             &plan.origin_of_message,
         )?;
         let flight = FlightRecorder::new(header);
+        let mut sim = gossip_model::SimKernel::with_origins(&g, model, &plan.origin_of_message)
+            .map_err(|e| e.to_string())?;
         match &faults {
             Some(f) => {
-                let mut sim =
-                    gossip_model::SimKernel::with_origins(&g, model, &plan.origin_of_message)
-                        .map_err(|e| e.to_string())?;
                 let mut lost = Vec::new();
                 sim.run_lossy_recorded(&flat, f, &mut lost, &flight)
                     .map_err(|e| e.to_string())?;
             }
-            None if engine == Engine::Oracle => {
-                let mut sim =
-                    gossip_model::Simulator::with_origins(&g, model, &plan.origin_of_message)
-                        .map_err(|e| e.to_string())?;
-                sim.run_recorded(&plan.schedule, &flight)
-                    .map_err(|e| e.to_string())?;
-            }
             None => {
-                let mut sim =
-                    gossip_model::SimKernel::with_origins(&g, model, &plan.origin_of_message)
-                        .map_err(|e| e.to_string())?;
                 sim.run_recorded(&flat, &flight)
                     .map_err(|e| e.to_string())?;
             }
@@ -1104,11 +1018,10 @@ pub fn plan(args: &Args) -> Result<(), String> {
 /// pruned bitset tree sweep, flat label arena, straight-into-CSR
 /// generation — verified by structural validation plus a bitset-kernel
 /// replay. Options that need the reference `Schedule` representation
-/// (trace export, plan artifacts, fault injection, the oracle engine) are
-/// rejected; use `--planner both` to combine them with a fast cross-check.
+/// (trace export, plan artifacts, fault injection) are rejected; use
+/// `--planner both` to combine them with a fast cross-check.
 fn plan_fast_only(args: &Args, g: &Graph) -> Result<(), String> {
     const NEEDS_REFERENCE: &[&str] = &[
-        "engine",
         "trace-out",
         "wall",
         "out",

@@ -42,27 +42,6 @@ fn plan_reports_guarantee() {
 }
 
 #[test]
-fn plan_engine_oracle_and_both() {
-    let (ok, stdout, _) = gossip(&[
-        "plan", "--family", "ring", "--n", "10", "--engine", "oracle",
-    ]);
-    assert!(ok, "{stdout}");
-    assert!(stdout.contains("verified (oracle simulator): complete"));
-
-    let (ok, stdout, _) = gossip(&["plan", "--family", "ring", "--n", "10", "--engine", "both"]);
-    assert!(ok, "{stdout}");
-    assert!(stdout.contains("verified (oracle + kernel, outcomes identical): complete"));
-    assert!(stdout.contains("engine timings:"));
-}
-
-#[test]
-fn plan_rejects_unknown_engine() {
-    let (ok, _, stderr) = gossip(&["plan", "--family", "ring", "--n", "8", "--engine", "warp"]);
-    assert!(!ok);
-    assert!(stderr.contains("--engine must be oracle, kernel, or both"));
-}
-
-#[test]
 fn plan_rejects_unknown_algorithm() {
     let (ok, _, stderr) = gossip(&[
         "plan",

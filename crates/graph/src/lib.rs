@@ -59,7 +59,6 @@ pub use metrics::{
 pub use render::render_tree;
 pub use spanning::fast::{min_depth_spanning_tree_fast, min_depth_spanning_tree_fast_recorded};
 pub use spanning::{
-    bfs_tree, min_depth_spanning_tree, min_depth_spanning_tree_parallel,
-    min_depth_spanning_tree_parallel_recorded, min_depth_spanning_tree_recorded, ChildOrder,
+    bfs_tree, min_depth_spanning_tree, min_depth_spanning_tree_recorded, ChildOrder,
 };
 pub use tree::{RootedTree, NO_PARENT};

@@ -7,17 +7,16 @@
 //!
 //! The height of the winning tree equals the graph radius `r`, and its root
 //! is a center vertex: the BFS tree from `v` has height = eccentricity(`v`),
-//! minimized over center vertices. Both a sequential sweep and a
-//! rayon-parallel sweep (one independent BFS per task) are provided; they
-//! return identical trees because ties are broken by the smallest root id in
-//! both.
+//! minimized over center vertices. The sequential sweep here is the
+//! paper-faithful reference (ties go to the smallest root id); the pruned
+//! multi-source bitset sweep in [`fast`] builds the same-height tree and is
+//! what the fast planner uses.
 
 use crate::bfs::{bfs, bfs_into};
 use crate::error::GraphError;
 use crate::graph::Graph;
 use crate::tree::{RootedTree, NO_PARENT};
 use gossip_telemetry::{NoopRecorder, Recorder, RecorderExt};
-use rayon::prelude::*;
 use std::time::Instant;
 
 pub mod fast;
@@ -129,73 +128,6 @@ pub fn min_depth_spanning_tree_recorded(
     parents_to_tree(root, &parent, order)
 }
 
-/// Rayon-parallel variant of [`min_depth_spanning_tree`]: one independent
-/// BFS per task, reduced by `(eccentricity, root id)`.
-///
-/// Produces the identical tree to the sequential sweep.
-pub fn min_depth_spanning_tree_parallel(
-    g: &Graph,
-    order: ChildOrder,
-) -> Result<RootedTree, GraphError> {
-    min_depth_spanning_tree_parallel_recorded(g, order, &NoopRecorder)
-}
-
-/// [`min_depth_spanning_tree_parallel`] with telemetry. Per-sweep timings
-/// land in the same `spanning/bfs_sweep_ns` histogram as the sequential
-/// sweep (recorded from worker threads; the span covers the whole sweep).
-pub fn min_depth_spanning_tree_parallel_recorded(
-    g: &Graph,
-    order: ChildOrder,
-    recorder: &dyn Recorder,
-) -> Result<RootedTree, GraphError> {
-    if g.n() == 0 {
-        return Err(GraphError::EmptyGraph);
-    }
-    let _span = recorder.span("spanning_tree_parallel");
-    // Distinct phase name from the sequential sweep: the per-sweep work
-    // happens on rayon workers, which the thread-local profiler cannot
-    // see, so only the calling thread's wall-clock wait is attributed.
-    let _phase = gossip_telemetry::profile::phase("tree_par");
-    let best = (0..g.n())
-        .into_par_iter()
-        .map(|v| {
-            let t0 = recorder.enabled().then(Instant::now);
-            let r = bfs(g, v);
-            if let Some(t0) = t0 {
-                recorder.observe("spanning/bfs_sweep_ns", t0.elapsed().as_nanos() as f64);
-            }
-            r.eccentricity()
-                .map(|ecc| (ecc, v, r.parent))
-                .ok_or(GraphError::Disconnected)
-        })
-        .try_reduce_with(|a, b| {
-            // Smallest (eccentricity, root id) wins, matching sequential
-            // tie-breaking exactly.
-            Ok(if (b.0, b.1) < (a.0, a.1) { b } else { a })
-        })
-        .expect("n > 0")?;
-    if recorder.enabled() {
-        recorder.counter("spanning/sweeps", g.n() as u64);
-        recorder.gauge("spanning/radius", f64::from(best.0));
-        recorder.event(
-            "spanning_tree",
-            &[
-                (
-                    "mode",
-                    gossip_telemetry::Value::String("parallel".to_string()),
-                ),
-                ("sweeps", gossip_telemetry::Value::from_u64(g.n() as u64)),
-                (
-                    "radius",
-                    gossip_telemetry::Value::from_u64(u64::from(best.0)),
-                ),
-                ("root", gossip_telemetry::Value::from_u64(best.1 as u64)),
-            ],
-        );
-    }
-    parents_to_tree(best.1, &best.2, order)
-}
-
 /// A cheap lower bound on the radius used for early exit in the sequential
 /// sweep: `ceil(diameter_lower / 2)` where `diameter_lower` is the
 /// eccentricity of vertex 0 (any eccentricity lower-bounds the diameter,
@@ -271,15 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential() {
-        for g in [path(10), cycle(11)] {
-            let a = min_depth_spanning_tree(&g, ChildOrder::ById).unwrap();
-            let b = min_depth_spanning_tree_parallel(&g, ChildOrder::ById).unwrap();
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
     fn complete_graph_star_tree() {
         let mut edges = Vec::new();
         for u in 0..6 {
@@ -306,10 +229,6 @@ mod tests {
         let g = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
         assert_eq!(
             min_depth_spanning_tree(&g, ChildOrder::ById).unwrap_err(),
-            GraphError::Disconnected
-        );
-        assert_eq!(
-            min_depth_spanning_tree_parallel(&g, ChildOrder::ById).unwrap_err(),
             GraphError::Disconnected
         );
         assert_eq!(

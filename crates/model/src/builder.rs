@@ -11,6 +11,7 @@
 use crate::error::ModelError;
 use crate::models::CommModel;
 use crate::round::Transmission;
+use crate::rules::{RoundRules, RoundState};
 use crate::schedule::Schedule;
 use gossip_graph::Graph;
 use std::collections::HashMap;
@@ -35,6 +36,7 @@ use std::collections::HashMap;
 pub struct ScheduleBuilder<'g> {
     g: &'g Graph,
     model: CommModel,
+    n_msgs: usize,
     schedule: Schedule,
     /// `(proc, msg)` -> earliest hold time.
     earliest: HashMap<(usize, u32), usize>,
@@ -61,6 +63,7 @@ impl<'g> ScheduleBuilder<'g> {
         Ok(ScheduleBuilder {
             g,
             model,
+            n_msgs: origins.len(),
             schedule: Schedule::new(g.n()),
             earliest,
             send_busy: HashMap::new(),
@@ -82,77 +85,19 @@ impl<'g> ScheduleBuilder<'g> {
         from: usize,
         to: &[usize],
     ) -> Result<(), ModelError> {
-        let n = self.g.n();
-        if from >= n {
-            return Err(ModelError::ProcessorOutOfRange {
-                round: t,
-                proc: from,
-                n,
-            });
-        }
-        if to.is_empty() {
-            return Err(ModelError::EmptyDestination {
-                round: t,
-                sender: from,
-            });
-        }
-        if let Some(&m) = self.send_busy.get(&(from, t)) {
-            if m != msg {
-                return Err(ModelError::DuplicateSender {
-                    round: t,
-                    sender: from,
-                });
-            }
-        }
-        match self.earliest.get(&(from, msg)) {
-            Some(&h) if h <= t => {}
-            _ => {
-                return Err(ModelError::MessageNotHeld {
-                    round: t,
-                    sender: from,
-                    msg,
-                })
-            }
-        }
+        let rules = RoundRules {
+            g: self.g,
+            model: self.model,
+            n_msgs: self.n_msgs,
+            hold_rule: true,
+        };
+        let mut pending = Pending {
+            b: self,
+            t,
+            receivers: Vec::with_capacity(to.len()),
+        };
+        rules.check(&mut pending, t, msg, from, to.iter().copied())?;
         let tx = Transmission::new(msg, from, to.to_vec());
-        self.model
-            .check_destinations(self.g, &tx)
-            .map_err(|reason| ModelError::ModelViolation {
-                round: t,
-                sender: from,
-                reason,
-            })?;
-        let mut prev = None;
-        for &d in &tx.to {
-            if d >= n {
-                return Err(ModelError::ProcessorOutOfRange {
-                    round: t,
-                    proc: d,
-                    n,
-                });
-            }
-            if prev == Some(d) {
-                return Err(ModelError::DuplicateDestination {
-                    round: t,
-                    sender: from,
-                    receiver: d,
-                });
-            }
-            prev = Some(d);
-            if !self.g.has_edge(from, d) {
-                return Err(ModelError::NotAdjacent {
-                    round: t,
-                    sender: from,
-                    receiver: d,
-                });
-            }
-            if self.recv_busy.contains_key(&(d, t + 1)) {
-                return Err(ModelError::DuplicateReceiver {
-                    round: t,
-                    receiver: d,
-                });
-            }
-        }
         // Commit.
         let widening = self.send_busy.insert((from, t), msg).is_some();
         for &d in &tx.to {
@@ -193,6 +138,43 @@ impl<'g> ScheduleBuilder<'g> {
         );
         self.schedule.trim();
         self.schedule
+    }
+}
+
+/// One [`ScheduleBuilder::send`] under check: the rules read the
+/// builder's occupancy maps at round `t`, and receivers claimed by this
+/// transmission stay local until it passes, so a rejected insertion leaves
+/// the builder untouched.
+struct Pending<'a, 'g> {
+    b: &'a ScheduleBuilder<'g>,
+    t: usize,
+    receivers: Vec<usize>,
+}
+
+impl RoundState for Pending<'_, '_> {
+    /// A sender may be named again in its round only to widen the same
+    /// message's multicast.
+    fn claim_sender(&mut self, from: usize, msg: u32) -> bool {
+        self.b
+            .send_busy
+            .get(&(from, self.t))
+            .is_none_or(|&m| m == msg)
+    }
+
+    fn holds(&self, from: usize, msg: u32) -> bool {
+        self.b.holds_at(from, msg, self.t)
+    }
+
+    fn adjacent(&self, from: usize, to: usize) -> bool {
+        self.b.g.has_edge(from, to)
+    }
+
+    fn claim_receiver(&mut self, to: usize) -> bool {
+        if self.b.recv_busy.contains_key(&(to, self.t + 1)) || self.receivers.contains(&to) {
+            return false;
+        }
+        self.receivers.push(to);
+        true
     }
 }
 
@@ -286,6 +268,22 @@ mod tests {
             b.send(0, 0, 0, &[]),
             Err(ModelError::EmptyDestination { .. })
         ));
+    }
+
+    #[test]
+    fn rejects_what_the_simulator_rejects() {
+        let g = Graph::from_edges(4, &[(1, 0), (1, 2), (1, 3)]).unwrap();
+        let mut b = ScheduleBuilder::new(&g, CommModel::Multicast, &[0, 1, 2, 3]).unwrap();
+        assert!(matches!(
+            b.send(0, 4, 1, &[0]),
+            Err(ModelError::MessageOutOfRange { msg: 4, .. })
+        ));
+        // A receiver named twice, not back to back, in one destination set.
+        assert!(matches!(
+            b.send(0, 1, 1, &[0, 2, 0]),
+            Err(ModelError::DuplicateReceiver { receiver: 0, .. })
+        ));
+        b.send(0, 1, 1, &[0, 2]).unwrap();
     }
 
     #[test]

@@ -15,6 +15,8 @@
 //! wait-for-everything down phase compacts substantially.
 
 use crate::error::ModelError;
+use crate::flat_schedule::FlatSchedule;
+use crate::models::CommModel;
 use crate::schedule::Schedule;
 use gossip_graph::Graph;
 
@@ -34,8 +36,9 @@ pub struct CompactionReport {
 }
 
 /// Compacts `schedule` over `g` with the given origin table. The input
-/// must already be valid (validate first); the output is guaranteed valid
-/// and at least as complete.
+/// must be structurally valid ([`FlatSchedule::validate`] is run first and
+/// its error returned); the output is guaranteed valid and at least as
+/// complete.
 pub fn compact_schedule(
     g: &Graph,
     schedule: &Schedule,
@@ -49,6 +52,8 @@ pub fn compact_schedule(
         });
     }
     let n_msgs = origins.len();
+    // Multicast admits every destination set the other models do.
+    FlatSchedule::from_schedule(schedule).validate(g, CommModel::Multicast, n_msgs)?;
     let mut s = schedule.clone();
     let makespan_before = s.makespan();
     let mut deliveries_pruned = 0usize;
@@ -148,13 +153,6 @@ fn hold_times(
         hold[p][m] = Some(0);
     }
     for (t, tx) in s.iter() {
-        if tx.msg as usize >= n_msgs {
-            return Err(ModelError::MessageOutOfRange {
-                round: t,
-                msg: tx.msg,
-                n: n_msgs,
-            });
-        }
         for &d in &tx.to {
             let slot = &mut hold[d][tx.msg as usize];
             if slot.is_none() || slot.is_some_and(|h| h > t + 1) {
@@ -173,8 +171,7 @@ pub fn verify_compaction(
     report: &CompactionReport,
     origins: &[usize],
 ) -> Result<bool, ModelError> {
-    let mut sim =
-        crate::simulator::Simulator::with_origins(g, crate::models::CommModel::Multicast, origins)?;
+    let mut sim = crate::simulator::Simulator::with_origins(g, CommModel::Multicast, origins)?;
     Ok(sim.run(&report.schedule)?.complete)
 }
 
@@ -186,6 +183,17 @@ mod tests {
 
     fn path(n: usize) -> Graph {
         Graph::from_edges(n, &(0..n - 1).map(|i| (i, i + 1)).collect::<Vec<_>>()).unwrap()
+    }
+
+    #[test]
+    fn rejects_invalid_input() {
+        let g = path(3);
+        let mut s = Schedule::new(3);
+        s.add_transmission(0, Transmission::unicast(0, 0, 2));
+        assert!(matches!(
+            compact_schedule(&g, &s, &[0, 1, 2]),
+            Err(ModelError::NotAdjacent { .. })
+        ));
     }
 
     #[test]

@@ -15,13 +15,15 @@
 //! saturated and thus still rejected as out-of-range by the validators).
 //!
 //! [`FlatSchedule::validate`] is the rayon round-parallel structural rule
-//! check of the tentpole: rounds are independent for every rule except the
-//! hold-set one (rule 4, execution-state dependent, enforced by the kernel
-//! during replay), so each round is checked on its own core with
-//! word-parallel sender/receiver dedup bitmaps.
+//! check: rounds are independent for every rule except the hold-set one
+//! (rule 4, execution-state dependent, enforced by the kernel during
+//! replay), so each round is checked on its own core with word-parallel
+//! sender/receiver dedup bitmaps. The rules themselves live in `rules.rs`,
+//! shared with the kernel's checked replay modes.
 
 use crate::error::ModelError;
 use crate::models::CommModel;
+use crate::rules::{RoundRules, RoundState};
 use crate::schedule::{Schedule, ScheduleStats};
 use gossip_graph::Graph;
 use rayon::prelude::*;
@@ -288,101 +290,82 @@ impl FlatSchedule {
                 schedule_n: self.n,
             });
         }
+        let rules = RoundRules {
+            g,
+            model,
+            n_msgs,
+            hold_rule: false,
+        };
+        let words = self.n.div_ceil(64);
         (0..self.rounds())
             .into_par_iter()
-            .map(|t| self.validate_round(t, g, model, n_msgs))
+            .map(|t| {
+                let mut state = RoundBitmaps {
+                    g,
+                    sent: vec![0; words],
+                    received: vec![0; words],
+                };
+                self.check_round(t, t, &rules, &mut state)
+            })
             .collect::<Result<Vec<()>, ModelError>>()?;
         Ok(())
     }
 
-    /// Structural checks for one round, in the oracle's per-transmission
-    /// check order (minus the hold-set rule).
-    fn validate_round(
+    /// Checks every transmission of round `r` against `rules`, stamping
+    /// errors with `time` — the one loop over a round that both
+    /// [`FlatSchedule::validate`] and the kernel's checked modes share.
+    pub(crate) fn check_round(
         &self,
-        t: usize,
-        g: &Graph,
-        model: CommModel,
-        n_msgs: usize,
+        r: usize,
+        time: usize,
+        rules: &RoundRules<'_>,
+        state: &mut impl RoundState,
     ) -> Result<(), ModelError> {
-        let n = self.n;
-        let words = n.div_ceil(64);
-        let mut sent = vec![0u64; words];
-        let mut received = vec![0u64; words];
-        for i in self.round_range(t) {
-            let from = self.tx_from[i] as usize;
-            if from >= n {
-                return Err(ModelError::ProcessorOutOfRange {
-                    round: t,
-                    proc: from,
-                    n,
-                });
-            }
-            let msg = self.tx_msg[i];
-            if msg as usize >= n_msgs {
-                return Err(ModelError::MessageOutOfRange {
-                    round: t,
-                    msg,
-                    n: n_msgs,
-                });
-            }
-            let dests = self.dests_of(i);
-            if dests.is_empty() {
-                return Err(ModelError::EmptyDestination {
-                    round: t,
-                    sender: from,
-                });
-            }
-            let (w, b) = (from / 64, 1u64 << (from % 64));
-            if sent[w] & b != 0 {
-                return Err(ModelError::DuplicateSender {
-                    round: t,
-                    sender: from,
-                });
-            }
-            sent[w] |= b;
-            model
-                .check_fanout(g.degree(from), dests.len())
-                .map_err(|reason| ModelError::ModelViolation {
-                    round: t,
-                    sender: from,
-                    reason,
-                })?;
-            let mut prev: Option<usize> = None;
-            for &d32 in dests {
-                let d = d32 as usize;
-                if d >= n {
-                    return Err(ModelError::ProcessorOutOfRange {
-                        round: t,
-                        proc: d,
-                        n,
-                    });
-                }
-                if prev == Some(d) {
-                    return Err(ModelError::DuplicateDestination {
-                        round: t,
-                        sender: from,
-                        receiver: d,
-                    });
-                }
-                prev = Some(d);
-                if !g.has_edge(from, d) {
-                    return Err(ModelError::NotAdjacent {
-                        round: t,
-                        sender: from,
-                        receiver: d,
-                    });
-                }
-                let (w, b) = (d / 64, 1u64 << (d % 64));
-                if received[w] & b != 0 {
-                    return Err(ModelError::DuplicateReceiver {
-                        round: t,
-                        receiver: d,
-                    });
-                }
-                received[w] |= b;
-            }
+        for i in self.round_range(r) {
+            let dests = self.dests_of(i).iter().map(|&d| d as usize);
+            rules.check(state, time, self.tx_msg[i], self.tx_from[i] as usize, dests)?;
         }
         Ok(())
+    }
+}
+
+/// One round's dedup bitmaps for the round-parallel validator; each rayon
+/// worker owns its own, and adjacency comes from the graph's sorted
+/// neighbour lists.
+struct RoundBitmaps<'g> {
+    g: &'g Graph,
+    sent: Vec<u64>,
+    received: Vec<u64>,
+}
+
+/// Sets bit `i` of `words`; `false` if it was already set.
+#[inline]
+fn claim_bit(words: &mut [u64], i: usize) -> bool {
+    let (w, b) = (i / 64, 1u64 << (i % 64));
+    let fresh = words[w] & b == 0;
+    words[w] |= b;
+    fresh
+}
+
+impl RoundState for RoundBitmaps<'_> {
+    #[inline]
+    fn claim_sender(&mut self, from: usize, _msg: u32) -> bool {
+        claim_bit(&mut self.sent, from)
+    }
+
+    /// Structural validation never applies the hold rule.
+    fn holds(&self, _from: usize, _msg: u32) -> bool {
+        true
+    }
+
+    #[inline]
+    fn adjacent(&self, from: usize, to: usize) -> bool {
+        self.g.has_edge(from, to)
+    }
+
+    #[inline]
+    fn claim_receiver(&mut self, to: usize) -> bool {
+        claim_bit(&mut self.received, to)
     }
 }
 

@@ -13,14 +13,19 @@
 //! - per-round send/receive dedup via round-stamped tables, exactly as the
 //!   oracle.
 //!
-//! Checks run in the oracle's exact per-transmission order, so any invalid
-//! schedule is rejected with the *identical* [`ModelError`] the oracle
-//! produces (the differential suite in `tests/` enforces this). When a
-//! schedule has already passed the rayon structural pass
-//! [`FlatSchedule::validate`], [`SimKernel::run_prevalidated`] skips the
-//! structural checks and replays with only the state-dependent hold-set
-//! rule plus the word-OR applies — the amortized replay mode benchmarks
-//! and the recovery executor use.
+//! The rules are the crate's single structural check (`rules.rs`, shared
+//! with [`FlatSchedule::validate`]), run in the oracle's exact
+//! per-transmission order, so any invalid schedule is rejected with the
+//! *identical* [`ModelError`] the oracle produces (the differential suite
+//! in `tests/` enforces this). When a schedule has already passed the
+//! rayon structural pass [`FlatSchedule::validate`],
+//! [`SimKernel::run_prevalidated`] skips the structural checks and replays
+//! with only the state-dependent hold-set rule plus the word-OR applies —
+//! the amortized replay mode benchmarks and the recovery executor use.
+//!
+//! Strict, prevalidated and lossy replay, with or without a recorder, all
+//! run through one per-round driver; the public `run*` methods only pick
+//! the mode and the recorder.
 //!
 //! Lossy mode ([`SimKernel::run_lossy`]) replicates the oracle's
 //! [`crate::Simulator::step_lossy`] bit for bit, including its in-round
@@ -36,8 +41,10 @@ use crate::fault_plan::FaultPlan;
 use crate::flat_schedule::FlatSchedule;
 use crate::lossy::{LossCause, LossyOutcome, LostDelivery};
 use crate::models::CommModel;
+use crate::rules::{hold_rule, RoundRules, RoundState};
 use crate::simulator::SimOutcome;
 use gossip_graph::Graph;
+use gossip_telemetry::{NoopRecorder, Recorder, Value};
 
 /// Word-parallel schedule replayer over flat hold-set and adjacency
 /// bitmaps. Mirrors the [`crate::Simulator`] API where the two overlap.
@@ -102,7 +109,6 @@ impl<'g> SimKernel<'g> {
         let n = g.n();
         let n_msgs = origins.len();
         let hold_words = n_msgs.div_ceil(64);
-        let adj_words = n.div_ceil(64);
         let mut hold = vec![0u64; n * hold_words];
         let mut known_pairs = 0;
         for (m, &p) in origins.iter().enumerate() {
@@ -118,28 +124,7 @@ impl<'g> SimKernel<'g> {
                 known_pairs += 1;
             }
         }
-        let mut adj = vec![0u64; n * adj_words];
-        for v in 0..n {
-            let row = v * adj_words;
-            for u in g.neighbors(v) {
-                adj[row + u / 64] |= 1u64 << (u % 64);
-            }
-        }
-        Ok(SimKernel {
-            g,
-            model,
-            n,
-            n_msgs,
-            hold_words,
-            hold,
-            adj_words,
-            adj,
-            time: 0,
-            send_stamp: vec![0; n],
-            recv_stamp: vec![0; n],
-            round_stamp: 0,
-            known_pairs,
-        })
+        Ok(Self::assemble(g, model, n_msgs, hold, known_pairs))
     }
 
     /// Creates a kernel whose knowledge is seeded from explicit hold sets
@@ -165,7 +150,6 @@ impl<'g> SimKernel<'g> {
             });
         }
         let hold_words = n_msgs.div_ceil(64);
-        let adj_words = n.div_ceil(64);
         let mut hold = vec![0u64; n * hold_words];
         let mut known_pairs = 0;
         for (p, h) in holds.iter().enumerate() {
@@ -173,6 +157,20 @@ impl<'g> SimKernel<'g> {
             hold[row..row + h.words().len()].copy_from_slice(h.words());
             known_pairs += h.len();
         }
+        Ok(Self::assemble(g, model, n_msgs, hold, known_pairs))
+    }
+
+    /// Wraps a seeded hold arena with `g`'s adjacency bitmap and fresh
+    /// dedup tables at time 0.
+    fn assemble(
+        g: &'g Graph,
+        model: CommModel,
+        n_msgs: usize,
+        hold: Vec<u64>,
+        known_pairs: usize,
+    ) -> Self {
+        let n = g.n();
+        let adj_words = n.div_ceil(64);
         let mut adj = vec![0u64; n * adj_words];
         for v in 0..n {
             let row = v * adj_words;
@@ -180,12 +178,12 @@ impl<'g> SimKernel<'g> {
                 adj[row + u / 64] |= 1u64 << (u % 64);
             }
         }
-        Ok(SimKernel {
+        SimKernel {
             g,
             model,
             n,
             n_msgs,
-            hold_words,
+            hold_words: n_msgs.div_ceil(64),
             hold,
             adj_words,
             adj,
@@ -194,7 +192,7 @@ impl<'g> SimKernel<'g> {
             recv_stamp: vec![0; n],
             round_stamp: 0,
             known_pairs,
-        })
+        }
     }
 
     /// The current time (number of rounds executed).
@@ -213,9 +211,7 @@ impl<'g> SimKernel<'g> {
     /// pairs are never held.
     #[inline]
     pub fn contains(&self, p: usize, m: usize) -> bool {
-        p < self.n
-            && m < self.n_msgs
-            && self.hold[p * self.hold_words + m / 64] & (1u64 << (m % 64)) != 0
+        p < self.n && m < self.n_msgs && row_bit(&self.hold, self.hold_words, p, m)
     }
 
     /// The raw hold-row words of processor `p` (bits at or above `n_msgs`
@@ -260,252 +256,12 @@ impl<'g> SimKernel<'g> {
         }
     }
 
-    #[inline]
-    fn adjacent(&self, u: usize, v: usize) -> bool {
-        self.adj[u * self.adj_words + v / 64] & (1u64 << (v % 64)) != 0
-    }
-
     /// Executes round `r` of `flat` with full rule validation in the
     /// oracle's exact check order; on error the kernel state is unchanged.
     /// Errors are stamped with the kernel's absolute time, exactly as
     /// [`crate::Simulator::step`].
     pub fn step_round(&mut self, flat: &FlatSchedule, r: usize) -> Result<(), ModelError> {
-        self.step_inner(flat, r, true)
-    }
-
-    fn step_inner(
-        &mut self,
-        flat: &FlatSchedule,
-        r: usize,
-        structural: bool,
-    ) -> Result<(), ModelError> {
-        let n = self.n;
-        let t = self.time;
-        let range = flat.round_range(r);
-        if structural {
-            self.round_stamp += 1;
-            let stamp = self.round_stamp;
-            for i in range.clone() {
-                let from = flat.from_of(i) as usize;
-                if from >= n {
-                    return Err(ModelError::ProcessorOutOfRange {
-                        round: t,
-                        proc: from,
-                        n,
-                    });
-                }
-                let msg = flat.msg_of(i);
-                if msg as usize >= self.n_msgs {
-                    return Err(ModelError::MessageOutOfRange {
-                        round: t,
-                        msg,
-                        n: self.n_msgs,
-                    });
-                }
-                let dests = flat.dests_of(i);
-                if dests.is_empty() {
-                    return Err(ModelError::EmptyDestination {
-                        round: t,
-                        sender: from,
-                    });
-                }
-                if self.send_stamp[from] == stamp {
-                    return Err(ModelError::DuplicateSender {
-                        round: t,
-                        sender: from,
-                    });
-                }
-                self.send_stamp[from] = stamp;
-                if !self.contains(from, msg as usize) {
-                    return Err(ModelError::MessageNotHeld {
-                        round: t,
-                        sender: from,
-                        msg,
-                    });
-                }
-                self.model
-                    .check_fanout(self.g.degree(from), dests.len())
-                    .map_err(|reason| ModelError::ModelViolation {
-                        round: t,
-                        sender: from,
-                        reason,
-                    })?;
-                let mut prev: Option<usize> = None;
-                for &d32 in dests {
-                    let d = d32 as usize;
-                    if d >= n {
-                        return Err(ModelError::ProcessorOutOfRange {
-                            round: t,
-                            proc: d,
-                            n,
-                        });
-                    }
-                    if prev == Some(d) {
-                        return Err(ModelError::DuplicateDestination {
-                            round: t,
-                            sender: from,
-                            receiver: d,
-                        });
-                    }
-                    prev = Some(d);
-                    if !self.adjacent(from, d) {
-                        return Err(ModelError::NotAdjacent {
-                            round: t,
-                            sender: from,
-                            receiver: d,
-                        });
-                    }
-                    if self.recv_stamp[d] == stamp {
-                        return Err(ModelError::DuplicateReceiver {
-                            round: t,
-                            receiver: d,
-                        });
-                    }
-                    self.recv_stamp[d] = stamp;
-                }
-            }
-        } else {
-            // Structure was established by `FlatSchedule::validate`; only
-            // the execution-state rule remains. Validate the whole round
-            // before applying, preserving step atomicity.
-            for i in range.clone() {
-                let from = flat.from_of(i) as usize;
-                let msg = flat.msg_of(i);
-                if !self.contains(from, msg as usize) {
-                    return Err(ModelError::MessageNotHeld {
-                        round: t,
-                        sender: from,
-                        msg,
-                    });
-                }
-            }
-        }
-
-        // All checks passed; apply receives (word-OR per delivery).
-        for i in range {
-            let m = flat.msg_of(i) as usize;
-            let (w, b) = (m / 64, 1u64 << (m % 64));
-            for &d32 in flat.dests_of(i) {
-                let slot = d32 as usize * self.hold_words + w;
-                let newly = self.hold[slot] & b == 0;
-                self.hold[slot] |= b;
-                self.known_pairs += newly as usize;
-            }
-        }
-        self.time += 1;
-        Ok(())
-    }
-
-    /// Runs a whole flat schedule with full validation — the kernel-side
-    /// equivalent of [`crate::Simulator::run`], producing the identical
-    /// [`SimOutcome`] (or the identical first [`ModelError`]).
-    pub fn run(&mut self, flat: &FlatSchedule) -> Result<SimOutcome, ModelError> {
-        self.run_inner(flat, true)
-    }
-
-    /// Runs a flat schedule that already passed [`FlatSchedule::validate`]
-    /// for this kernel's graph, model, and message count — skips the
-    /// structural checks and replays with hold-rule checks plus word-OR
-    /// applies only. Calling this on a schedule that was *not* validated
-    /// can silently apply structurally illegal rounds; it never corrupts
-    /// memory (all index arithmetic stays bounds-checked) but forfeits
-    /// oracle parity.
-    pub fn run_prevalidated(&mut self, flat: &FlatSchedule) -> Result<SimOutcome, ModelError> {
-        self.run_inner(flat, false)
-    }
-
-    fn run_inner(
-        &mut self,
-        flat: &FlatSchedule,
-        structural: bool,
-    ) -> Result<SimOutcome, ModelError> {
-        if flat.n() != self.n {
-            return Err(ModelError::SizeMismatch {
-                graph_n: self.n,
-                schedule_n: flat.n(),
-            });
-        }
-        let mut completion_time = if self.gossip_complete() {
-            Some(self.time)
-        } else {
-            None
-        };
-        let rounds = flat.rounds();
-        for r in 0..rounds {
-            self.step_inner(flat, r, structural)?;
-            if completion_time.is_none() && self.gossip_complete() {
-                completion_time = Some(self.time);
-            }
-        }
-        Ok(SimOutcome {
-            complete: self.gossip_complete(),
-            rounds_executed: rounds,
-            completion_time,
-            stats: flat.stats(),
-        })
-    }
-
-    /// Runs a whole flat schedule with full validation, streaming live
-    /// instrumentation into `recorder` — the clean-run counterpart of
-    /// [`SimKernel::run_lossy_recorded`]: per round a `round_start` /
-    /// `round_end` event pair, `exec/deliveries` counters, and the
-    /// knowledge-curve gauges `round_current` / `known_pairs`. Recorders
-    /// that opt into `wants_transmissions` (the flight recorder) also get
-    /// every transmission as it executes. With a disabled recorder this is
-    /// exactly [`SimKernel::run`].
-    pub fn run_recorded(
-        &mut self,
-        flat: &FlatSchedule,
-        recorder: &dyn gossip_telemetry::Recorder,
-    ) -> Result<SimOutcome, ModelError> {
-        use gossip_telemetry::Value;
-        if !recorder.enabled() {
-            return self.run(flat);
-        }
-        if flat.n() != self.n {
-            return Err(ModelError::SizeMismatch {
-                graph_n: self.n,
-                schedule_n: flat.n(),
-            });
-        }
-        let wants_tx = recorder.wants_transmissions();
-        let mut completion_time = if self.gossip_complete() {
-            Some(self.time)
-        } else {
-            None
-        };
-        let rounds = flat.rounds();
-        for r in 0..rounds {
-            let t = self.time;
-            recorder.event("round_start", &[("round", Value::from_u64(t as u64))]);
-            if wants_tx {
-                for i in flat.round_range(r) {
-                    recorder.transmission(t, flat.msg_of(i), flat.from_of(i), flat.dests_of(i));
-                }
-            }
-            self.step_inner(flat, r, true)?;
-            if completion_time.is_none() && self.gossip_complete() {
-                completion_time = Some(self.time);
-            }
-            let delivered: usize = flat.round_range(r).map(|i| flat.dests_of(i).len()).sum();
-            recorder.counter("exec/deliveries", delivered as u64);
-            recorder.gauge("round_current", self.time as f64);
-            recorder.gauge("known_pairs", self.known_pairs as f64);
-            recorder.event(
-                "round_end",
-                &[
-                    ("round", Value::from_u64(t as u64)),
-                    ("delivered", Value::from_u64(delivered as u64)),
-                    ("known_pairs", Value::from_u64(self.known_pairs as u64)),
-                ],
-            );
-        }
-        Ok(SimOutcome {
-            complete: self.gossip_complete(),
-            rounds_executed: rounds,
-            completion_time,
-            stats: flat.stats(),
-        })
+        self.step(flat, r, &mut Mode::Strict).map(drop)
     }
 
     /// Executes round `r` of `flat` under `plan`, degrading on
@@ -521,96 +277,225 @@ impl<'g> SimKernel<'g> {
         plan: &FaultPlan,
         lost: &mut Vec<LostDelivery>,
     ) -> Result<usize, ModelError> {
-        let n = self.n;
-        let t = self.time;
-        self.round_stamp += 1;
-        let stamp = self.round_stamp;
-        let range = flat.round_range(r);
+        self.step(flat, r, &mut Mode::Lossy { plan, lost })
+    }
 
-        // Validation pass: every structural rule, minus the hold-set check
-        // (faults legitimately break relay chains).
-        for i in range.clone() {
-            let from = flat.from_of(i) as usize;
-            if from >= n {
-                return Err(ModelError::ProcessorOutOfRange {
-                    round: t,
-                    proc: from,
-                    n,
-                });
-            }
-            let msg = flat.msg_of(i);
-            if msg as usize >= self.n_msgs {
-                return Err(ModelError::MessageOutOfRange {
-                    round: t,
-                    msg,
-                    n: self.n_msgs,
-                });
-            }
-            let dests = flat.dests_of(i);
-            if dests.is_empty() {
-                return Err(ModelError::EmptyDestination {
-                    round: t,
-                    sender: from,
-                });
-            }
-            if self.send_stamp[from] == stamp {
-                return Err(ModelError::DuplicateSender {
-                    round: t,
-                    sender: from,
-                });
-            }
-            self.send_stamp[from] = stamp;
-            self.model
-                .check_fanout(self.g.degree(from), dests.len())
-                .map_err(|reason| ModelError::ModelViolation {
-                    round: t,
-                    sender: from,
-                    reason,
-                })?;
-            let mut prev: Option<usize> = None;
-            for &d32 in dests {
-                let d = d32 as usize;
-                if d >= n {
-                    return Err(ModelError::ProcessorOutOfRange {
-                        round: t,
-                        proc: d,
-                        n,
-                    });
+    /// Runs a whole flat schedule with full validation — the kernel-side
+    /// equivalent of [`crate::Simulator::run`], producing the identical
+    /// [`SimOutcome`] (or the identical first [`ModelError`]).
+    pub fn run(&mut self, flat: &FlatSchedule) -> Result<SimOutcome, ModelError> {
+        self.run_recorded(flat, &NoopRecorder)
+    }
+
+    /// Runs a flat schedule that already passed [`FlatSchedule::validate`]
+    /// for this kernel's graph, model, and message count — skips the
+    /// structural checks and replays with hold-rule checks plus word-OR
+    /// applies only. Calling this on a schedule that was *not* validated
+    /// can silently apply structurally illegal rounds; it never corrupts
+    /// memory (all index arithmetic stays bounds-checked) but forfeits
+    /// oracle parity.
+    pub fn run_prevalidated(&mut self, flat: &FlatSchedule) -> Result<SimOutcome, ModelError> {
+        self.run_clean(flat, Mode::Prevalidated, &NoopRecorder)
+    }
+
+    /// Runs a whole flat schedule with full validation, streaming live
+    /// instrumentation into `recorder` — the clean-run counterpart of
+    /// [`SimKernel::run_lossy_recorded`]: per round a `round_start` /
+    /// `round_end` event pair, `exec/deliveries` counters, and the
+    /// knowledge-curve gauges `round_current` / `known_pairs`. Recorders
+    /// that opt into `wants_transmissions` (the flight recorder) also get
+    /// every transmission as it executes. With a disabled recorder this is
+    /// exactly [`SimKernel::run`].
+    pub fn run_recorded(
+        &mut self,
+        flat: &FlatSchedule,
+        recorder: &dyn Recorder,
+    ) -> Result<SimOutcome, ModelError> {
+        self.run_clean(flat, Mode::Strict, recorder)
+    }
+
+    fn run_clean(
+        &mut self,
+        flat: &FlatSchedule,
+        mode: Mode<'_>,
+        recorder: &dyn Recorder,
+    ) -> Result<SimOutcome, ModelError> {
+        let replay = self.drive(flat, mode, recorder)?;
+        Ok(SimOutcome {
+            complete: self.gossip_complete(),
+            rounds_executed: flat.rounds(),
+            completion_time: replay.completion_time,
+            stats: flat.stats(),
+        })
+    }
+
+    /// Runs a whole flat schedule under `plan` from the kernel's current
+    /// time — the kernel-side equivalent of [`crate::Simulator::run_lossy`]
+    /// (absolute rounds index the fault plan, so one kernel carried across
+    /// repair epochs keeps sampling the same deterministic fault sequence).
+    pub fn run_lossy(
+        &mut self,
+        flat: &FlatSchedule,
+        plan: &FaultPlan,
+        lost: &mut Vec<LostDelivery>,
+    ) -> Result<LossyOutcome, ModelError> {
+        self.run_lossy_recorded(flat, plan, lost, &NoopRecorder)
+    }
+
+    /// [`SimKernel::run_lossy`] with live instrumentation: per round a
+    /// `round_start`/`round_end` event pair, a `loss` event per lost
+    /// delivery (with its cause label), `exec/deliveries` /
+    /// `exec/losses` / per-cause `exec/lost/<cause>` counters, and the
+    /// knowledge-curve gauges `round_current` / `known_pairs`. Recorders
+    /// that opt into `wants_transmissions` (the flight recorder) also get
+    /// every attempted transmission. With a disabled recorder this is
+    /// exactly [`SimKernel::run_lossy`].
+    pub fn run_lossy_recorded(
+        &mut self,
+        flat: &FlatSchedule,
+        plan: &FaultPlan,
+        lost: &mut Vec<LostDelivery>,
+        recorder: &dyn Recorder,
+    ) -> Result<LossyOutcome, ModelError> {
+        let before = lost.len();
+        let replay = self.drive(flat, Mode::Lossy { plan, lost }, recorder)?;
+        Ok(LossyOutcome {
+            rounds_executed: flat.rounds(),
+            delivered: replay.delivered,
+            lost: lost.len() - before,
+            complete_among_alive: self.residual_count(plan) == 0,
+        })
+    }
+
+    /// The one loop over rounds: executes every round of `flat` in `mode`
+    /// from the kernel's current time, reporting each round to `recorder`
+    /// when it is enabled.
+    fn drive(
+        &mut self,
+        flat: &FlatSchedule,
+        mut mode: Mode<'_>,
+        recorder: &dyn Recorder,
+    ) -> Result<Replay, ModelError> {
+        if flat.n() != self.n {
+            return Err(ModelError::SizeMismatch {
+                graph_n: self.n,
+                schedule_n: flat.n(),
+            });
+        }
+        let recorder = Some(recorder).filter(|r| r.enabled());
+        let wants_tx = recorder.is_some_and(|r| r.wants_transmissions());
+        let mut replay = Replay {
+            delivered: 0,
+            completion_time: self.gossip_complete().then_some(self.time),
+        };
+        for r in 0..flat.rounds() {
+            let t = self.time;
+            if let Some(rec) = recorder {
+                rec.event("round_start", &[("round", Value::from_u64(t as u64))]);
+                if wants_tx {
+                    // Every *attempt* is captured, including transmissions
+                    // whose deliveries are all suppressed — the matching
+                    // `loss` events record which ones, so replay is txs
+                    // minus losses.
+                    for i in flat.round_range(r) {
+                        rec.transmission(t, flat.msg_of(i), flat.from_of(i), flat.dests_of(i));
+                    }
                 }
-                if prev == Some(d) {
-                    return Err(ModelError::DuplicateDestination {
-                        round: t,
-                        sender: from,
-                        receiver: d,
-                    });
-                }
-                prev = Some(d);
-                if !self.adjacent(from, d) {
-                    return Err(ModelError::NotAdjacent {
-                        round: t,
-                        sender: from,
-                        receiver: d,
-                    });
-                }
-                if self.recv_stamp[d] == stamp {
-                    return Err(ModelError::DuplicateReceiver {
-                        round: t,
-                        receiver: d,
-                    });
-                }
-                self.recv_stamp[d] = stamp;
+            }
+            let lost_before = mode.lost().map_or(0, <[_]>::len);
+            let delivered = self.step(flat, r, &mut mode)?;
+            replay.delivered += delivered;
+            if replay.completion_time.is_none() && self.gossip_complete() {
+                replay.completion_time = Some(self.time);
+            }
+            if let Some(rec) = recorder {
+                let losses = mode.lost().map(|l| &l[lost_before..]);
+                self.record_round_end(rec, t, delivered, losses);
             }
         }
+        Ok(replay)
+    }
 
-        // Apply pass: deliveries land unless a fault condition intercepts.
-        // Hold rows mutate in transmission order, so the NotHeld
-        // classification sees earlier same-round deliveries — the oracle's
-        // exact in-round visibility.
+    /// Executes round `r` of `flat` in `mode`: checks the whole round, then
+    /// applies it, so on error the kernel state is unchanged. Returns the
+    /// deliveries that landed.
+    fn step(
+        &mut self,
+        flat: &FlatSchedule,
+        r: usize,
+        mode: &mut Mode<'_>,
+    ) -> Result<usize, ModelError> {
+        let t = self.time;
+        if let Mode::Prevalidated = mode {
+            // Structure was established by `FlatSchedule::validate`; only
+            // the execution-state rule remains.
+            for i in flat.round_range(r) {
+                let (from, msg) = (flat.from_of(i) as usize, flat.msg_of(i));
+                hold_rule(self.contains(from, msg as usize), t, from, msg)?;
+            }
+        } else {
+            self.round_stamp += 1;
+            let rules = RoundRules {
+                g: self.g,
+                model: self.model,
+                n_msgs: self.n_msgs,
+                hold_rule: matches!(mode, Mode::Strict),
+            };
+            let mut state = KernelRound {
+                stamp: self.round_stamp,
+                send_stamp: &mut self.send_stamp,
+                recv_stamp: &mut self.recv_stamp,
+                adj: &self.adj,
+                adj_words: self.adj_words,
+                hold: &self.hold,
+                hold_words: self.hold_words,
+            };
+            flat.check_round(r, t, &rules, &mut state)?;
+        }
+        let delivered = match mode {
+            Mode::Lossy { plan, lost } => self.apply_lossy(flat, r, plan, lost),
+            _ => self.apply(flat, r),
+        };
+        self.time += 1;
+        Ok(delivered)
+    }
+
+    /// Applies every delivery of a checked round (word-OR per delivery).
+    /// Kept out of line so the hot delivery loop gets registers of its own
+    /// rather than sharing them with the inlined rule checks.
+    #[inline(never)]
+    fn apply(&mut self, flat: &FlatSchedule, r: usize) -> usize {
         let mut delivered = 0;
-        for i in range {
+        for i in flat.round_range(r) {
+            let m = flat.msg_of(i) as usize;
+            let (w, b) = (m / 64, 1u64 << (m % 64));
+            let dests = flat.dests_of(i);
+            for &d in dests {
+                self.deliver(d as usize * self.hold_words + w, b);
+            }
+            delivered += dests.len();
+        }
+        delivered
+    }
+
+    /// Applies a checked round under `plan`: deliveries land unless a fault
+    /// condition intercepts. Hold rows mutate in transmission order, so the
+    /// `NotHeld` classification sees earlier same-round deliveries — the
+    /// oracle's exact in-round visibility.
+    fn apply_lossy(
+        &mut self,
+        flat: &FlatSchedule,
+        r: usize,
+        plan: &FaultPlan,
+        lost: &mut Vec<LostDelivery>,
+    ) -> usize {
+        let t = self.time;
+        let mut delivered = 0;
+        for i in flat.round_range(r) {
             let from = flat.from_of(i) as usize;
             let msg = flat.msg_of(i);
             let m = msg as usize;
+            let (w, b) = (m / 64, 1u64 << (m % 64));
             let whole_tx_cause = if plan.is_crashed(from, t) {
                 Some(LossCause::SenderCrashed)
             } else if !self.contains(from, m) {
@@ -618,7 +503,6 @@ impl<'g> SimKernel<'g> {
             } else {
                 None
             };
-            let (w, b) = (m / 64, 1u64 << (m % 64));
             for &d32 in flat.dests_of(i) {
                 let d = d32 as usize;
                 let cause = whole_tx_cause.or_else(|| {
@@ -641,126 +525,60 @@ impl<'g> SimKernel<'g> {
                         cause,
                     }),
                     None => {
-                        let slot = d * self.hold_words + w;
-                        let newly = self.hold[slot] & b == 0;
-                        self.hold[slot] |= b;
-                        self.known_pairs += newly as usize;
+                        self.deliver(d * self.hold_words + w, b);
                         delivered += 1;
                     }
                 }
             }
         }
-        self.time += 1;
-        Ok(delivered)
+        delivered
     }
 
-    /// Runs a whole flat schedule under `plan` from the kernel's current
-    /// time — the kernel-side equivalent of [`crate::Simulator::run_lossy`]
-    /// (absolute rounds index the fault plan, so one kernel carried across
-    /// repair epochs keeps sampling the same deterministic fault sequence).
-    pub fn run_lossy(
-        &mut self,
-        flat: &FlatSchedule,
-        plan: &FaultPlan,
-        lost: &mut Vec<LostDelivery>,
-    ) -> Result<LossyOutcome, ModelError> {
-        if flat.n() != self.n {
-            return Err(ModelError::SizeMismatch {
-                graph_n: self.n,
-                schedule_n: flat.n(),
-            });
-        }
-        let before = lost.len();
-        let rounds = flat.rounds();
-        let mut delivered = 0;
-        for r in 0..rounds {
-            delivered += self.step_round_lossy(flat, r, plan, lost)?;
-        }
-        Ok(LossyOutcome {
-            rounds_executed: rounds,
-            delivered,
-            lost: lost.len() - before,
-            complete_among_alive: self.residual_count(plan) == 0,
-        })
+    /// ORs `bit` into hold word `slot`, counting a newly known pair.
+    #[inline]
+    fn deliver(&mut self, slot: usize, bit: u64) {
+        let newly = self.hold[slot] & bit == 0;
+        self.hold[slot] |= bit;
+        self.known_pairs += newly as usize;
     }
 
-    /// [`SimKernel::run_lossy`] with live instrumentation: per round a
-    /// `round_start`/`round_end` event pair, a `loss` event per lost
-    /// delivery (with its cause label), `exec/deliveries` /
-    /// `exec/losses` / per-cause `exec/lost/<cause>` counters, and the
-    /// knowledge-curve gauges `round_current` / `known_pairs`. Recorders
-    /// that opt into `wants_transmissions` (the flight recorder) also get
-    /// every attempted transmission. With a disabled recorder this is
-    /// exactly [`SimKernel::run_lossy`].
-    pub fn run_lossy_recorded(
-        &mut self,
-        flat: &FlatSchedule,
-        plan: &FaultPlan,
-        lost: &mut Vec<LostDelivery>,
-        recorder: &dyn gossip_telemetry::Recorder,
-    ) -> Result<LossyOutcome, ModelError> {
-        use gossip_telemetry::Value;
-        if !recorder.enabled() {
-            return self.run_lossy(flat, plan, lost);
-        }
-        if flat.n() != self.n {
-            return Err(ModelError::SizeMismatch {
-                graph_n: self.n,
-                schedule_n: flat.n(),
-            });
-        }
-        let wants_tx = recorder.wants_transmissions();
-        let before = lost.len();
-        let rounds = flat.rounds();
-        let mut delivered = 0;
-        for r in 0..rounds {
-            let t = self.time;
-            recorder.event("round_start", &[("round", Value::from_u64(t as u64))]);
-            if wants_tx {
-                // Every *attempt* is captured, including transmissions whose
-                // deliveries are all suppressed — the matching `loss` events
-                // record which ones, so replay is txs minus losses.
-                for i in flat.round_range(r) {
-                    recorder.transmission(t, flat.msg_of(i), flat.from_of(i), flat.dests_of(i));
-                }
-            }
-            let lost_before = lost.len();
-            let d = self.step_round_lossy(flat, r, plan, lost)?;
-            delivered += d;
-            for l in &lost[lost_before..] {
-                recorder.counter(&format!("exec/lost/{}", l.cause.label()), 1);
-                recorder.event(
-                    "loss",
-                    &[
-                        ("round", Value::from_u64(l.round as u64)),
-                        ("msg", Value::from_u64(l.msg as u64)),
-                        ("from", Value::from_u64(l.from as u64)),
-                        ("to", Value::from_u64(l.to as u64)),
-                        ("cause", Value::String(l.cause.label().to_string())),
-                    ],
-                );
-            }
-            let lost_now = (lost.len() - lost_before) as u64;
-            recorder.counter("exec/deliveries", d as u64);
-            recorder.counter("exec/losses", lost_now);
-            recorder.gauge("round_current", self.time as f64);
-            recorder.gauge("known_pairs", self.known_pairs() as f64);
+    /// Streams the end of round `t` to `recorder`: the round's losses (in
+    /// lossy mode), counters, knowledge-curve gauges, and `round_end`.
+    fn record_round_end(
+        &self,
+        recorder: &dyn Recorder,
+        t: usize,
+        delivered: usize,
+        losses: Option<&[LostDelivery]>,
+    ) {
+        for l in losses.unwrap_or_default() {
+            recorder.counter(&format!("exec/lost/{}", l.cause.label()), 1);
             recorder.event(
-                "round_end",
+                "loss",
                 &[
-                    ("round", Value::from_u64(t as u64)),
-                    ("delivered", Value::from_u64(d as u64)),
-                    ("lost", Value::from_u64(lost_now)),
-                    ("known_pairs", Value::from_u64(self.known_pairs() as u64)),
+                    ("round", Value::from_u64(l.round as u64)),
+                    ("msg", Value::from_u64(l.msg as u64)),
+                    ("from", Value::from_u64(l.from as u64)),
+                    ("to", Value::from_u64(l.to as u64)),
+                    ("cause", Value::String(l.cause.label().to_string())),
                 ],
             );
         }
-        Ok(LossyOutcome {
-            rounds_executed: rounds,
-            delivered,
-            lost: lost.len() - before,
-            complete_among_alive: self.residual_count(plan) == 0,
-        })
+        recorder.counter("exec/deliveries", delivered as u64);
+        if let Some(l) = losses {
+            recorder.counter("exec/losses", l.len() as u64);
+        }
+        recorder.gauge("round_current", self.time as f64);
+        recorder.gauge("known_pairs", self.known_pairs as f64);
+        let mut fields = vec![
+            ("round", Value::from_u64(t as u64)),
+            ("delivered", Value::from_u64(delivered as u64)),
+        ];
+        if let Some(l) = losses {
+            fields.push(("lost", Value::from_u64(l.len() as u64)));
+        }
+        fields.push(("known_pairs", Value::from_u64(self.known_pairs as u64)));
+        recorder.event("round_end", &fields);
     }
 
     /// The missing (message, vertex) pairs among processors still alive at
@@ -805,6 +623,77 @@ impl<'g> SimKernel<'g> {
                 self.n_msgs - held
             })
             .sum()
+    }
+}
+
+/// How a replay treats each round's rules and deliveries.
+enum Mode<'a> {
+    /// Every rule, the hold rule included, errors.
+    Strict,
+    /// The schedule already passed [`FlatSchedule::validate`]; only the
+    /// hold rule is checked.
+    Prevalidated,
+    /// Structural rules error; the hold rule and `plan`'s faults turn
+    /// deliveries into entries of `lost`.
+    Lossy {
+        plan: &'a FaultPlan,
+        lost: &'a mut Vec<LostDelivery>,
+    },
+}
+
+impl Mode<'_> {
+    /// The loss log, in lossy mode.
+    fn lost(&self) -> Option<&[LostDelivery]> {
+        match self {
+            Mode::Lossy { lost, .. } => Some(lost),
+            _ => None,
+        }
+    }
+}
+
+/// What [`SimKernel::drive`] established beyond the kernel's own state.
+struct Replay {
+    delivered: usize,
+    completion_time: Option<usize>,
+}
+
+/// The kernel's per-round view for [`RoundRules::check`]: round-stamped
+/// dedup tables, the adjacency bitmap, and the hold arena.
+struct KernelRound<'k> {
+    stamp: u64,
+    send_stamp: &'k mut [u64],
+    recv_stamp: &'k mut [u64],
+    adj: &'k [u64],
+    adj_words: usize,
+    hold: &'k [u64],
+    hold_words: usize,
+}
+
+/// Bit `col` of row `row` in a row-major bitmap with `words` words per row.
+#[inline]
+fn row_bit(bits: &[u64], words: usize, row: usize, col: usize) -> bool {
+    bits[row * words + col / 64] & (1u64 << (col % 64)) != 0
+}
+
+impl RoundState for KernelRound<'_> {
+    #[inline]
+    fn claim_sender(&mut self, from: usize, _msg: u32) -> bool {
+        std::mem::replace(&mut self.send_stamp[from], self.stamp) != self.stamp
+    }
+
+    #[inline]
+    fn holds(&self, from: usize, msg: u32) -> bool {
+        row_bit(self.hold, self.hold_words, from, msg as usize)
+    }
+
+    #[inline]
+    fn adjacent(&self, from: usize, to: usize) -> bool {
+        row_bit(self.adj, self.adj_words, from, to)
+    }
+
+    #[inline]
+    fn claim_receiver(&mut self, to: usize) -> bool {
+        std::mem::replace(&mut self.recv_stamp[to], self.stamp) != self.stamp
     }
 }
 

@@ -42,6 +42,7 @@ pub mod lossy;
 pub mod models;
 pub mod provenance;
 pub mod round;
+mod rules;
 pub mod schedule;
 pub mod simulator;
 pub mod trace;

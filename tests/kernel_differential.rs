@@ -135,8 +135,16 @@ fn full_runs_agree_on_reference_instances() {
 
 /// Runs both engines on a (possibly sabotaged) schedule and demands the
 /// exact same verdict: equal outcomes and end states when accepted, the
-/// identical `ModelError` when rejected.
+/// identical `ModelError` when rejected. The same schedule also goes
+/// through the structural validator and the lossy kernel, both checked
+/// against the oracle's lossy run under a fault-free plan (which enforces
+/// every rule but the hold-set one).
 fn assert_same_verdict(name: &str, g: &Graph, schedule: &Schedule, origins: &[usize]) {
+    assert_same_strict_verdict(name, g, schedule, origins);
+    assert_same_lossy_verdict(name, g, schedule, origins);
+}
+
+fn assert_same_strict_verdict(name: &str, g: &Graph, schedule: &Schedule, origins: &[usize]) {
     let flat = FlatSchedule::from_schedule(schedule);
     let mut sim = Simulator::with_origins(g, CommModel::Multicast, origins).unwrap();
     let oracle = sim.run(schedule);
@@ -149,6 +157,31 @@ fn assert_same_verdict(name: &str, g: &Graph, schedule: &Schedule, origins: &[us
         }
         (Err(a), Err(b)) => assert_eq!(a, b, "{name}: errors diverged"),
         _ => panic!("{name}: verdicts diverged: oracle {oracle:?} vs kernel {kernel:?}"),
+    }
+}
+
+/// `FlatSchedule::validate` draws the structural verdict of the oracle's
+/// lossy run under `FaultPlan::none()`, and the lossy kernel reproduces
+/// that run exactly: the same error, or the same outcome, loss log and
+/// end state.
+fn assert_same_lossy_verdict(name: &str, g: &Graph, schedule: &Schedule, origins: &[usize]) {
+    let flat = FlatSchedule::from_schedule(schedule);
+    let none = FaultPlan::none();
+    let mut sim = Simulator::with_origins(g, CommModel::Multicast, origins).unwrap();
+    let mut sim_lost = Vec::new();
+    let oracle = sim.run_lossy(schedule, &none, &mut sim_lost);
+    assert_eq!(
+        flat.validate(g, CommModel::Multicast, origins.len()),
+        oracle.as_ref().map(|_| ()).map_err(Clone::clone),
+        "{name}: validate vs lossy oracle structural verdict"
+    );
+    let mut k = SimKernel::with_origins(g, CommModel::Multicast, origins).unwrap();
+    let mut k_lost = Vec::new();
+    let kernel = k.run_lossy(&flat, &none, &mut k_lost);
+    assert_eq!(oracle, kernel, "{name}: lossy verdicts diverged");
+    assert_eq!(sim_lost, k_lost, "{name}: loss logs diverged");
+    if oracle.is_ok() {
+        assert_same_holds(name, schedule.makespan(), &sim, &k);
     }
 }
 
