@@ -46,7 +46,7 @@ use gossip_model::{
     BitSet, ChurnEvent, ChurnOp, ChurnPlan, CommModel, FaultPlan, FlatSchedule, LostDelivery,
     ModelError, Schedule, SimKernel, Transmission,
 };
-use gossip_telemetry::{NoopRecorder, Recorder, RecorderExt, Value};
+use gossip_telemetry::{NoopRecorder, Recorder, RecorderExt, RunEvent, Value, CHURN_INVALIDATED};
 
 /// Why a [`ChurnExecutor`] run failed. Topology changes themselves never
 /// error — only a malformed plan, an unusable starting network, or a
@@ -550,15 +550,12 @@ impl<'a> ChurnExecutor<'a> {
 
             for e in batch {
                 self.recorder.counter("churn/events", 1);
-                self.recorder.event(
-                    "churn",
-                    &[
-                        ("round", Value::from_u64(te as u64)),
-                        ("op", Value::String(e.op.label().to_string())),
-                        ("u", Value::from_u64(e.u as u64)),
-                        ("v", Value::from_u64(e.v as u64)),
-                    ],
-                );
+                self.recorder.event(RunEvent::Churn {
+                    round: te as u64,
+                    op: e.op.label(),
+                    u: u64::from(e.u),
+                    v: u64::from(e.v),
+                });
             }
 
             // --- patch the topology atomically
@@ -781,14 +778,17 @@ impl<'a> ChurnExecutor<'a> {
         })
     }
 
-    /// Runs schedule rounds `[from, to)` on the current graph, with the
-    /// same per-round telemetry stream as the kernel's recorded runners.
-    /// The kernel is rebuilt from the live hold sets each segment (the
-    /// graph may have changed), and rounds before `from` — cleared after
-    /// earlier segments — are stepped silently so every kernel clock,
-    /// event, and flight record carries the **absolute** round index.
-    /// Executed entries move from `pending` into `transcript`. Returns
-    /// the new absolute time (`to`), jumping any unscheduled stretch.
+    /// Runs schedule rounds `[from, to)` on the current graph through the
+    /// kernel's recorded lossy replay, so the per-round telemetry stream
+    /// is the kernel's own. The kernel is rebuilt from the live hold sets
+    /// each segment (the graph may have changed) and resumes at absolute
+    /// round `from`, so every kernel clock, event, and flight record
+    /// carries the **absolute** round index. Lossy replay under the empty
+    /// fault plan (instead of strict) degrades entries whose upstream feed
+    /// churn invalidated into recorded `not_held` losses the completion
+    /// loop covers, rather than aborting the run. Executed entries move
+    /// from `pending` into `transcript`. Returns the new absolute time
+    /// (`to`), jumping any unscheduled stretch.
     #[allow(clippy::too_many_arguments)]
     fn advance(
         &self,
@@ -800,69 +800,13 @@ impl<'a> ChurnExecutor<'a> {
         from: usize,
         to: usize,
     ) -> Result<usize, ChurnError> {
-        if to <= from {
-            return Ok(from);
-        }
         let exec_end = pending.makespan().min(to);
         if exec_end <= from {
-            return Ok(to);
+            return Ok(from.max(to));
         }
-        let flat = FlatSchedule::from_schedule(pending);
-        let mut sim = SimKernel::with_holds(graph, self.model, holds)?;
-        let faults = FaultPlan::none();
-        let rec = self.recorder;
-        let enabled = rec.enabled();
-        let wants_tx = enabled && rec.wants_transmissions();
-        for r in 0..exec_end {
-            if r < from {
-                sim.step_round_lossy(&flat, r, &faults, lost_log)?;
-                continue;
-            }
-            let t = sim.time();
-            if enabled {
-                rec.event("round_start", &[("round", Value::from_u64(t as u64))]);
-                if wants_tx {
-                    for i in flat.round_range(r) {
-                        rec.transmission(t, flat.msg_of(i), flat.from_of(i), flat.dests_of(i));
-                    }
-                }
-            }
-            let lost_before = lost_log.len();
-            // Lossy stepping (under the empty fault plan) instead of
-            // strict: entries whose upstream feed was invalidated by
-            // churn degrade into recorded `not_held` losses the
-            // completion loop covers, rather than aborting the run.
-            let d = sim.step_round_lossy(&flat, r, &faults, lost_log)?;
-            if enabled {
-                for l in &lost_log[lost_before..] {
-                    rec.counter(&format!("exec/lost/{}", l.cause.label()), 1);
-                    rec.event(
-                        "loss",
-                        &[
-                            ("round", Value::from_u64(l.round as u64)),
-                            ("msg", Value::from_u64(l.msg as u64)),
-                            ("from", Value::from_u64(l.from as u64)),
-                            ("to", Value::from_u64(l.to as u64)),
-                            ("cause", Value::String(l.cause.label().to_string())),
-                        ],
-                    );
-                }
-                let lost_now = (lost_log.len() - lost_before) as u64;
-                rec.counter("exec/deliveries", d as u64);
-                rec.counter("exec/losses", lost_now);
-                rec.gauge("round_current", sim.time() as f64);
-                rec.gauge("known_pairs", sim.known_pairs() as f64);
-                rec.event(
-                    "round_end",
-                    &[
-                        ("round", Value::from_u64(t as u64)),
-                        ("delivered", Value::from_u64(d as u64)),
-                        ("lost", Value::from_u64(lost_now)),
-                        ("known_pairs", Value::from_u64(sim.known_pairs() as u64)),
-                    ],
-                );
-            }
-        }
+        let flat = FlatSchedule::from_rounds(pending.n, &pending.rounds[from..exec_end]);
+        let mut sim = SimKernel::with_holds(graph, self.model, holds, from)?;
+        sim.run_lossy_recorded(&flat, &FaultPlan::none(), lost_log, self.recorder)?;
         *holds = sim.hold_bitsets();
         for r in from..exec_end {
             for tx in pending.rounds[r].transmissions.drain(..) {
@@ -906,17 +850,14 @@ impl<'a> ChurnExecutor<'a> {
                     deliveries += dropped.len();
                     self.recorder
                         .counter("churn/invalidated", dropped.len() as u64);
-                    for d in &dropped {
-                        self.recorder.event(
-                            "loss",
-                            &[
-                                ("round", Value::from_u64(r as u64)),
-                                ("msg", Value::from_u64(tx.msg as u64)),
-                                ("from", Value::from_u64(from as u64)),
-                                ("to", Value::from_u64(*d as u64)),
-                                ("cause", Value::String("churn_invalidated".to_string())),
-                            ],
-                        );
+                    for &d in &dropped {
+                        self.recorder.event(RunEvent::Loss {
+                            round: r as u64,
+                            msg: u64::from(tx.msg),
+                            from: from as u64,
+                            to: d as u64,
+                            cause: CHURN_INVALIDATED,
+                        });
                     }
                 }
                 if !tx.to.is_empty() {

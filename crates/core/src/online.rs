@@ -22,7 +22,7 @@
 use crate::labeling::{LabelView, VertexParams};
 use gossip_graph::RootedTree;
 use gossip_model::{Schedule, Transmission};
-use gossip_telemetry::{ChromeTrace, NoopRecorder, Recorder, RecorderExt, Value};
+use gossip_telemetry::{ChromeTrace, NoopRecorder, Recorder, RecorderExt, RunEvent, Value};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Instant;
@@ -433,18 +433,12 @@ fn run_online_threaded_impl(
                 }
                 if recorder.enabled() {
                     recorder.counter("online/sends", sends);
-                    recorder.event(
-                        "online_thread",
-                        &[
-                            ("label", Value::from_u64(label as u64)),
-                            ("vertex", Value::from_u64(lv_ref.vertex(label) as u64)),
-                            ("sends", Value::from_u64(sends)),
-                            (
-                                "done_ns",
-                                Value::from_u64(epoch.elapsed().as_nanos() as u64),
-                            ),
-                        ],
-                    );
+                    recorder.event(RunEvent::OnlineThread {
+                        label: label as u64,
+                        vertex: lv_ref.vertex(label) as u64,
+                        sends,
+                        done_ns: epoch.elapsed().as_nanos() as u64,
+                    });
                 }
             });
         }

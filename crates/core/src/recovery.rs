@@ -26,7 +26,7 @@ use gossip_model::{
     BitSet, CommModel, FaultPlan, FlatSchedule, LossyOutcome, LostDelivery, ModelError, Schedule,
     SimKernel, Transmission,
 };
-use gossip_telemetry::{ChromeTrace, NoopRecorder, Recorder, RecorderExt, Value};
+use gossip_telemetry::{ChromeTrace, NoopRecorder, Recorder, RecorderExt, RunEvent, Value};
 
 /// A conflict-free completion schedule for a residual, plus the pairs it
 /// could not cover.
@@ -468,13 +468,10 @@ impl<'a> ResilientExecutor<'a> {
     /// `/events` subscribers see the boundary ahead of its round stream.
     fn epoch_start(&self, epoch: usize, start_round: usize) {
         self.recorder.gauge("recovery/epoch_current", epoch as f64);
-        self.recorder.event(
-            "epoch_start",
-            &[
-                ("epoch", Value::from_u64(epoch as u64)),
-                ("start_round", Value::from_u64(start_round as u64)),
-            ],
-        );
+        self.recorder.event(RunEvent::EpochStart {
+            epoch: epoch as u64,
+            start_round: start_round as u64,
+        });
     }
 
     /// Books one finished epoch: the report row, the incremental
@@ -500,17 +497,14 @@ impl<'a> ResilientExecutor<'a> {
         }
         self.recorder
             .gauge("recovery/residual_pairs", residual_after as f64);
-        self.recorder.event(
-            "epoch_end",
-            &[
-                ("epoch", Value::from_u64(epoch as u64)),
-                ("start_round", Value::from_u64(start_round as u64)),
-                ("rounds", Value::from_u64(out.rounds_executed as u64)),
-                ("delivered", Value::from_u64(out.delivered as u64)),
-                ("lost", Value::from_u64(out.lost as u64)),
-                ("residual_after", Value::from_u64(residual_after as u64)),
-            ],
-        );
+        self.recorder.event(RunEvent::EpochEnd {
+            epoch: epoch as u64,
+            start_round: start_round as u64,
+            rounds: out.rounds_executed as u64,
+            delivered: out.delivered as u64,
+            lost: out.lost as u64,
+            residual_after: residual_after as u64,
+        });
         epochs.push(EpochReport {
             epoch,
             start_round,

@@ -109,21 +109,12 @@ pub fn min_depth_spanning_tree_recorded(
     if recorder.enabled() {
         recorder.counter("spanning/sweeps", sweeps);
         recorder.gauge("spanning/radius", f64::from(radius));
-        recorder.event(
-            "spanning_tree",
-            &[
-                (
-                    "mode",
-                    gossip_telemetry::Value::String("sequential".to_string()),
-                ),
-                ("sweeps", gossip_telemetry::Value::from_u64(sweeps)),
-                (
-                    "radius",
-                    gossip_telemetry::Value::from_u64(u64::from(radius)),
-                ),
-                ("root", gossip_telemetry::Value::from_u64(root as u64)),
-            ],
-        );
+        recorder.event(gossip_telemetry::RunEvent::SpanningTree {
+            sweeps,
+            pruned: None,
+            radius: u64::from(radius),
+            root: root as u64,
+        });
     }
     parents_to_tree(root, &parent, order)
 }

@@ -164,19 +164,12 @@ pub fn min_depth_spanning_tree_fast_recorded(
         recorder.counter("spanning/sweeps", sweeps);
         recorder.counter("spanning/pruned", pruned);
         recorder.gauge("spanning/radius", f64::from(radius));
-        recorder.event(
-            "spanning_tree",
-            &[
-                ("mode", gossip_telemetry::Value::String("fast".to_string())),
-                ("sweeps", gossip_telemetry::Value::from_u64(sweeps)),
-                ("pruned", gossip_telemetry::Value::from_u64(pruned)),
-                (
-                    "radius",
-                    gossip_telemetry::Value::from_u64(u64::from(radius)),
-                ),
-                ("root", gossip_telemetry::Value::from_u64(u64::from(root))),
-            ],
-        );
+        recorder.event(gossip_telemetry::RunEvent::SpanningTree {
+            sweeps,
+            pruned: Some(pruned),
+            radius: u64::from(radius),
+            root: u64::from(root),
+        });
     }
 
     // Final scalar sweep from the winner gives the parent array — the same

@@ -44,7 +44,7 @@ use crate::models::CommModel;
 use crate::rules::{hold_rule, RoundRules, RoundState};
 use crate::simulator::SimOutcome;
 use gossip_graph::Graph;
-use gossip_telemetry::{NoopRecorder, Recorder, Value};
+use gossip_telemetry::{NoopRecorder, Recorder, RunEvent};
 
 /// Word-parallel schedule replayer over flat hold-set and adjacency
 /// bitmaps. Mirrors the [`crate::Simulator`] API where the two overlap.
@@ -129,13 +129,15 @@ impl<'g> SimKernel<'g> {
 
     /// Creates a kernel whose knowledge is seeded from explicit hold sets
     /// — one [`BitSet`] per processor, all with the same capacity (which
-    /// becomes `n_msgs`). This resumes replay from a mid-run state: when
-    /// the topology changes the kernel must be rebuilt over the patched
-    /// graph, but the processors' accumulated knowledge persists.
+    /// becomes `n_msgs`) — with its clock at absolute round `time`. This
+    /// resumes replay from a mid-run state: when the topology changes the
+    /// kernel must be rebuilt over the patched graph, but the processors'
+    /// accumulated knowledge and the run's round count persist.
     pub fn with_holds(
         g: &'g Graph,
         model: CommModel,
         holds: &[BitSet],
+        time: usize,
     ) -> Result<Self, ModelError> {
         let n = g.n();
         if holds.len() != n {
@@ -157,7 +159,9 @@ impl<'g> SimKernel<'g> {
             hold[row..row + h.words().len()].copy_from_slice(h.words());
             known_pairs += h.len();
         }
-        Ok(Self::assemble(g, model, n_msgs, hold, known_pairs))
+        let mut kernel = Self::assemble(g, model, n_msgs, hold, known_pairs);
+        kernel.time = time;
+        Ok(kernel)
     }
 
     /// Wraps a seeded hold arena with `g`'s adjacency bitmap and fresh
@@ -391,7 +395,7 @@ impl<'g> SimKernel<'g> {
         for r in 0..flat.rounds() {
             let t = self.time;
             if let Some(rec) = recorder {
-                rec.event("round_start", &[("round", Value::from_u64(t as u64))]);
+                rec.event(RunEvent::RoundStart { round: t as u64 });
                 if wants_tx {
                     // Every *attempt* is captured, including transmissions
                     // whose deliveries are all suppressed — the matching
@@ -553,16 +557,13 @@ impl<'g> SimKernel<'g> {
     ) {
         for l in losses.unwrap_or_default() {
             recorder.counter(&format!("exec/lost/{}", l.cause.label()), 1);
-            recorder.event(
-                "loss",
-                &[
-                    ("round", Value::from_u64(l.round as u64)),
-                    ("msg", Value::from_u64(l.msg as u64)),
-                    ("from", Value::from_u64(l.from as u64)),
-                    ("to", Value::from_u64(l.to as u64)),
-                    ("cause", Value::String(l.cause.label().to_string())),
-                ],
-            );
+            recorder.event(RunEvent::Loss {
+                round: l.round as u64,
+                msg: u64::from(l.msg),
+                from: l.from as u64,
+                to: l.to as u64,
+                cause: l.cause.label(),
+            });
         }
         recorder.counter("exec/deliveries", delivered as u64);
         if let Some(l) = losses {
@@ -570,15 +571,12 @@ impl<'g> SimKernel<'g> {
         }
         recorder.gauge("round_current", self.time as f64);
         recorder.gauge("known_pairs", self.known_pairs as f64);
-        let mut fields = vec![
-            ("round", Value::from_u64(t as u64)),
-            ("delivered", Value::from_u64(delivered as u64)),
-        ];
-        if let Some(l) = losses {
-            fields.push(("lost", Value::from_u64(l.len() as u64)));
-        }
-        fields.push(("known_pairs", Value::from_u64(self.known_pairs as u64)));
-        recorder.event("round_end", &fields);
+        recorder.event(RunEvent::RoundEnd {
+            round: t as u64,
+            delivered: delivered as u64,
+            lost: losses.map(|l| l.len() as u64),
+            known_pairs: self.known_pairs as u64,
+        });
     }
 
     /// The missing (message, vertex) pairs among processors still alive at
@@ -862,8 +860,9 @@ mod tests {
         // Rebuild a fresh kernel from the mid-run hold sets (as the churn
         // executor does across a topology patch) and finish the run.
         let mid = head.hold_bitsets();
-        let mut tail = SimKernel::with_holds(&g, CommModel::Multicast, &mid).unwrap();
+        let mut tail = SimKernel::with_holds(&g, CommModel::Multicast, &mid, head.time()).unwrap();
         tail.run(&FlatSchedule::from_schedule(&second)).unwrap();
+        assert_eq!(tail.time(), whole.time(), "the resumed clock is absolute");
         assert_eq!(tail.hold_bitsets(), whole.hold_bitsets());
         assert_eq!(tail.known_pairs(), whole.known_pairs());
         assert!(tail.gossip_complete());
@@ -873,9 +872,9 @@ mod tests {
     fn with_holds_rejects_bad_shapes() {
         let g = ring(3);
         let short = vec![BitSet::new(3); 2];
-        assert!(SimKernel::with_holds(&g, CommModel::Multicast, &short).is_err());
+        assert!(SimKernel::with_holds(&g, CommModel::Multicast, &short, 0).is_err());
         let mixed = vec![BitSet::new(3), BitSet::new(3), BitSet::new(4)];
-        assert!(SimKernel::with_holds(&g, CommModel::Multicast, &mixed).is_err());
+        assert!(SimKernel::with_holds(&g, CommModel::Multicast, &mixed, 0).is_err());
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::models::CommModel;
 use crate::round::CommRound;
 use crate::schedule::{Schedule, ScheduleStats};
 use gossip_graph::Graph;
-use gossip_telemetry::{Recorder, RecorderExt, Value};
+use gossip_telemetry::{Recorder, RecorderExt, RunEvent};
 
 /// Stateful executor of communication rounds over a network.
 ///
@@ -387,21 +387,15 @@ impl<'g> Simulator<'g> {
             // Prometheus registry: gossip_round_current / gossip_known_pairs).
             recorder.gauge("round_current", (probe.round + 1) as f64);
             recorder.gauge("known_pairs", known);
-            recorder.event(
-                "round",
-                &[
-                    ("round", Value::from_u64(probe.round as u64)),
-                    ("sent", Value::from_u64(probe.sent as u64)),
-                    ("deliveries", Value::from_u64(probe.deliveries as u64)),
-                    ("max_fanout", Value::from_u64(probe.max_fanout as u64)),
-                    (
-                        "idle_receivers",
-                        Value::from_u64(probe.idle_receivers as u64),
-                    ),
-                    ("coverage", Value::from_f64(probe.coverage)),
-                    ("known_pairs", Value::from_u64(known as u64)),
-                ],
-            );
+            recorder.event(RunEvent::Round {
+                round: probe.round as u64,
+                sent: probe.sent as u64,
+                deliveries: probe.deliveries as u64,
+                max_fanout: probe.max_fanout as u64,
+                idle_receivers: probe.idle_receivers as u64,
+                coverage: probe.coverage,
+                known_pairs: known as u64,
+            });
         }
         recorder.gauge("sim/rounds", outcome.rounds_executed as f64);
         recorder.gauge("sim/coverage", self.coverage());

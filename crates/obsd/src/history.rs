@@ -776,7 +776,7 @@ mod tests {
     #[test]
     fn ingests_flight_records_by_magic_and_skips_unknown_bytes() {
         use gossip_telemetry::flight::FlightHeader;
-        use gossip_telemetry::{FlightRecorder, Recorder, Value};
+        use gossip_telemetry::{FlightRecorder, Recorder, RunEvent};
 
         let rec = FlightRecorder::new(FlightHeader {
             n: 2,
@@ -788,15 +788,14 @@ mod tests {
             fault_digest: 0,
             origins: vec![0, 1],
         });
-        rec.event("round_start", &[("round", Value::from_u64(0))]);
+        rec.event(RunEvent::RoundStart { round: 0 });
         rec.transmission(0, 0, 0, &[1]);
-        rec.event(
-            "round_end",
-            &[
-                ("round", Value::from_u64(0)),
-                ("known_pairs", Value::from_u64(3)),
-            ],
-        );
+        rec.event(RunEvent::RoundEnd {
+            round: 0,
+            delivered: 1,
+            lost: None,
+            known_pairs: 3,
+        });
         let bytes = rec.finish();
 
         let mut h = History::new();

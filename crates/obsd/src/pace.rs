@@ -8,12 +8,12 @@
 //! executor API: pacing is purely an observer concern, so it lives in the
 //! observability layer.
 //!
-//! The sleep happens *between* rounds — a `round_end` arms a pending
+//! The sleep happens *between* rounds — a completed round arms a pending
 //! delay that the next `round_start` consumes — so the final round of a
 //! run ends immediately instead of tacking one useless delay onto every
 //! paced execution.
 
-use gossip_telemetry::{Recorder, Value};
+use gossip_telemetry::{Recorder, RunEvent};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -22,7 +22,7 @@ use std::time::Duration;
 pub struct Paced<'r> {
     inner: &'r dyn Recorder,
     delay: Duration,
-    /// Set by `round_end`, consumed (with the sleep) by the next
+    /// Set by a completed round, consumed (with the sleep) by the next
     /// `round_start` — never by run teardown.
     pending: AtomicBool,
 }
@@ -55,15 +55,15 @@ impl Recorder for Paced<'_> {
         self.inner.observe(name, value);
     }
 
-    fn event(&self, name: &str, fields: &[(&str, Value)]) {
-        if name == "round_start"
+    fn event(&self, event: RunEvent<'_>) {
+        if matches!(event, RunEvent::RoundStart { .. })
             && self.pending.swap(false, Ordering::Relaxed)
             && !self.delay.is_zero()
         {
             std::thread::sleep(self.delay);
         }
-        self.inner.event(name, fields);
-        if name == "round_end" {
+        self.inner.event(event);
+        if event.completed_round().is_some() {
             self.pending.store(true, Ordering::Relaxed);
         }
     }
@@ -87,6 +87,15 @@ mod tests {
     use gossip_telemetry::LiveRegistry;
     use std::time::Instant;
 
+    fn round_end(paced: &Paced<'_>, round: u64) {
+        paced.event(RunEvent::RoundEnd {
+            round,
+            delivered: 1,
+            lost: None,
+            known_pairs: round + 1,
+        });
+    }
+
     #[test]
     fn delays_between_rounds_but_not_after_the_last() {
         let reg = LiveRegistry::new();
@@ -94,21 +103,34 @@ mod tests {
         let start = Instant::now();
         paced.counter("c", 1);
         paced.gauge("g", 2.0);
-        paced.event("loss", &[]);
-        paced.event("round_start", &[]);
-        paced.event("round_end", &[]);
+        paced.event(RunEvent::Loss {
+            round: 0,
+            msg: 0,
+            from: 0,
+            to: 1,
+            cause: "sampled",
+        });
+        paced.event(RunEvent::RoundStart { round: 0 });
+        round_end(&paced, 0);
         assert!(
             start.elapsed() < Duration::from_millis(15),
             "a round_end alone must not sleep — the delay is armed, not paid"
         );
-        paced.event("round_start", &[]);
+        paced.event(RunEvent::RoundStart { round: 1 });
         assert!(
             start.elapsed() >= Duration::from_millis(20),
             "the next round_start pays the armed delay"
         );
         let mid = Instant::now();
-        paced.event("round_end", &[]);
-        paced.event("epoch_end", &[]);
+        round_end(&paced, 1);
+        paced.event(RunEvent::EpochEnd {
+            epoch: 0,
+            start_round: 0,
+            rounds: 2,
+            delivered: 2,
+            lost: 1,
+            residual_after: 0,
+        });
         assert!(
             mid.elapsed() < Duration::from_millis(15),
             "the final round_end must not sleep"

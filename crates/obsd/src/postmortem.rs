@@ -26,6 +26,7 @@ use gossip_telemetry::flight::{
     alert_rule_label, alert_severity_label, cause_label, churn_op_label, FlightAlert, FlightChurn,
     FlightLog,
 };
+use gossip_telemetry::CHURN_INVALIDATED;
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
@@ -243,7 +244,7 @@ pub fn inspect(log: &FlightLog, round: Option<usize>) -> Result<InspectReport, S
     let invalidated: Vec<(u32, u32)> = log
         .losses()
         .iter()
-        .filter(|l| cause_label(l.cause) == "churn_invalidated")
+        .filter(|l| cause_label(l.cause) == CHURN_INVALIDATED)
         .map(|l| (l.msg, l.to))
         .collect();
     let churn_repaired = if invalidated.is_empty() {

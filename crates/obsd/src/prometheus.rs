@@ -170,7 +170,7 @@ pub fn render_with_alerts(registry: &LiveRegistry, sink: Option<&AlertSink>) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gossip_telemetry::Recorder;
+    use gossip_telemetry::{Recorder, RunEvent};
 
     #[test]
     fn name_mapping_folds_separators() {
@@ -202,7 +202,12 @@ mod tests {
         r.observe("sim/fanout_max", 1.0);
         r.observe("sim/fanout_max", 3.0);
         r.observe("sim/fanout_max", 600.0);
-        r.event("round_end", &[]);
+        r.event(RunEvent::RoundEnd {
+            round: 2,
+            delivered: 4,
+            lost: None,
+            known_pairs: 40,
+        });
         let text = render(&r);
         assert!(text.contains("# TYPE gossip_exec_deliveries counter\ngossip_exec_deliveries 7\n"));
         assert!(text.contains("# TYPE gossip_round_current gauge\ngossip_round_current 3\n"));

@@ -411,7 +411,7 @@ fn stream_events(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gossip_telemetry::Recorder;
+    use gossip_telemetry::{Recorder, RunEvent};
     use std::io::Read;
 
     fn get(addr: SocketAddr, path: &str) -> String {
@@ -524,7 +524,12 @@ mod tests {
         // Give the subscription a beat to register before emitting.
         std::thread::sleep(Duration::from_millis(100));
         for t in 0..3u64 {
-            registry.event("round_end", &[("round", Value::from_u64(t))]);
+            registry.event(RunEvent::RoundEnd {
+                round: t,
+                delivered: 1,
+                lost: None,
+                known_pairs: t + 1,
+            });
         }
         health.set_done();
         let mut body = String::new();

@@ -7,7 +7,7 @@
 //! serial sum.
 
 use gossip_obsd::prometheus;
-use gossip_telemetry::{LiveRegistry, Recorder, Value};
+use gossip_telemetry::{LiveRegistry, Recorder, RunEvent};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -25,7 +25,7 @@ fn writer_pass(reg: &LiveRegistry, thread_id: usize, i: u64) {
     reg.counter(&format!("stress/thread/{thread_id}"), 2);
     reg.gauge("stress/round", i as f64);
     reg.observe("stress/fanout", (i % 7) as f64);
-    reg.event("stress", &[("i", Value::from_u64(i))]);
+    reg.event(RunEvent::RoundStart { round: i });
 }
 
 #[test]

@@ -31,7 +31,8 @@
 //! reconstruction, cross-run diffing, anomaly flagging — lives in
 //! `gossip-obsd`, on top of [`FlightLog`].
 
-use crate::{Recorder, Value};
+use crate::event::CHURN_INVALIDATED;
+use crate::{Recorder, RunEvent};
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
@@ -59,25 +60,31 @@ pub const CAUSE_LABELS: [&str; 6] = [
     "sender_crashed",
     "receiver_crashed",
     "not_held",
-    "churn_invalidated",
+    CHURN_INVALIDATED,
 ];
 
-/// The code for a loss-cause label (255 for labels this build does not
-/// know, so future causes degrade to "unknown" instead of erroring).
-pub fn cause_code(label: &str) -> u8 {
-    CAUSE_LABELS
+/// The code of `label` in `table` (255 for labels this build does not
+/// know, so future labels degrade to "unknown" instead of erroring).
+fn code_in(table: &[&str], label: &str) -> u8 {
+    table
         .iter()
         .position(|&l| l == label)
-        .map(|i| i as u8)
-        .unwrap_or(255)
+        .map_or(255, |i| i as u8)
+}
+
+/// The label of `code` in `table` (the inverse of [`code_in`]).
+fn label_in(table: &[&'static str], code: u8) -> &'static str {
+    table.get(code as usize).copied().unwrap_or("unknown")
+}
+
+/// The code for a loss-cause label (255 if unknown).
+pub fn cause_code(label: &str) -> u8 {
+    code_in(&CAUSE_LABELS, label)
 }
 
 /// The label for a loss-cause code (the inverse of [`cause_code`]).
 pub fn cause_label(code: u8) -> &'static str {
-    CAUSE_LABELS
-        .get(code as usize)
-        .copied()
-        .unwrap_or("unknown")
+    label_in(&CAUSE_LABELS, code)
 }
 
 /// Topology-change op codes stored in [`FlightRecord::Churn`]; stable
@@ -92,22 +99,14 @@ pub const CHURN_OP_LABELS: [&str; 5] = [
     "link_flap",
 ];
 
-/// The code for a churn-op label (255 for labels this build does not
-/// know, so future ops degrade to "unknown" instead of erroring).
+/// The code for a churn-op label (255 if unknown).
 pub fn churn_op_code(label: &str) -> u8 {
-    CHURN_OP_LABELS
-        .iter()
-        .position(|&l| l == label)
-        .map(|i| i as u8)
-        .unwrap_or(255)
+    code_in(&CHURN_OP_LABELS, label)
 }
 
 /// The label for a churn-op code (the inverse of [`churn_op_code`]).
 pub fn churn_op_label(code: u8) -> &'static str {
-    CHURN_OP_LABELS
-        .get(code as usize)
-        .copied()
-        .unwrap_or("unknown")
+    label_in(&CHURN_OP_LABELS, code)
 }
 
 /// Watchdog rule codes stored in [`FlightRecord::Alert`]; stable across
@@ -123,44 +122,28 @@ pub const ALERT_RULE_LABELS: [&str; 6] = [
     "churn_storm",
 ];
 
-/// The code for an alert-rule label (255 for labels this build does not
-/// know, so future rules degrade to "unknown" instead of erroring).
+/// The code for an alert-rule label (255 if unknown).
 pub fn alert_rule_code(label: &str) -> u8 {
-    ALERT_RULE_LABELS
-        .iter()
-        .position(|&l| l == label)
-        .map(|i| i as u8)
-        .unwrap_or(255)
+    code_in(&ALERT_RULE_LABELS, label)
 }
 
 /// The label for an alert-rule code (the inverse of [`alert_rule_code`]).
 pub fn alert_rule_label(code: u8) -> &'static str {
-    ALERT_RULE_LABELS
-        .get(code as usize)
-        .copied()
-        .unwrap_or("unknown")
+    label_in(&ALERT_RULE_LABELS, code)
 }
 
 /// Alert severity codes stored in [`FlightRecord::Alert`]; stable across
 /// builds because they are part of the on-disk format (append-only).
 pub const ALERT_SEVERITY_LABELS: [&str; 3] = ["info", "warn", "critical"];
 
-/// The code for a severity label (255 for labels this build does not
-/// know).
+/// The code for a severity label (255 if unknown).
 pub fn alert_severity_code(label: &str) -> u8 {
-    ALERT_SEVERITY_LABELS
-        .iter()
-        .position(|&l| l == label)
-        .map(|i| i as u8)
-        .unwrap_or(255)
+    code_in(&ALERT_SEVERITY_LABELS, label)
 }
 
 /// The label for a severity code (the inverse of [`alert_severity_code`]).
 pub fn alert_severity_label(code: u8) -> &'static str {
-    ALERT_SEVERITY_LABELS
-        .get(code as usize)
-        .copied()
-        .unwrap_or("unknown")
+    label_in(&ALERT_SEVERITY_LABELS, code)
 }
 
 fn push_varint(out: &mut Vec<u8>, mut x: u64) {
@@ -927,13 +910,6 @@ impl FlightRecorder {
     }
 }
 
-fn field_u64(fields: &[(&str, Value)], name: &str) -> Option<u64> {
-    fields.iter().find(|(k, _)| *k == name).and_then(|(_, v)| {
-        v.as_u64()
-            .or_else(|| v.as_f64().map(|x| x.round().max(0.0) as u64))
-    })
-}
-
 impl Recorder for FlightRecorder {
     fn enabled(&self) -> bool {
         true
@@ -944,112 +920,55 @@ impl Recorder for FlightRecorder {
     fn observe(&self, _name: &str, _value: f64) {}
     fn span_observe(&self, _path: &str, _nanos: u64) {}
 
-    fn event(&self, name: &str, fields: &[(&str, Value)]) {
-        let rec = match name {
-            // The oracle simulator's per-round probe and the kernel's
-            // round_end both mark a completed round; either carries the
-            // knowledge-curve point.
-            "round" | "round_end" => {
-                let Some(round) = field_u64(fields, "round") else {
-                    return;
-                };
-                FlightRecord::RoundEnd {
+    fn event(&self, event: RunEvent<'_>) {
+        let rec = match event {
+            RunEvent::Loss {
+                round,
+                msg,
+                from,
+                to,
+                cause,
+            } => FlightRecord::Loss {
+                round: round as u32,
+                msg: msg as u32,
+                from: from as u32,
+                to: to as u32,
+                cause: cause_code(cause),
+            },
+            RunEvent::EpochStart { epoch, start_round } => FlightRecord::EpochStart {
+                epoch: epoch as u32,
+                start_round: start_round as u32,
+            },
+            RunEvent::EpochEnd { epoch, .. } => FlightRecord::EpochEnd {
+                epoch: epoch as u32,
+            },
+            RunEvent::Churn { round, op, u, v } => FlightRecord::Churn {
+                round: round as u32,
+                op: churn_op_code(op),
+                u: u as u32,
+                v: v as u32,
+            },
+            RunEvent::Alert {
+                rule,
+                round,
+                severity,
+                value,
+                threshold,
+                ..
+            } => FlightRecord::Alert {
+                round: round as u32,
+                rule: alert_rule_code(rule),
+                severity: alert_severity_code(severity),
+                value_bits: value.to_bits(),
+                threshold_bits: threshold.to_bits(),
+            },
+            other => match other.completed_round() {
+                Some((round, known_pairs)) => FlightRecord::RoundEnd {
                     round: round as u32,
-                    known_pairs: field_u64(fields, "known_pairs").unwrap_or(0),
-                }
-            }
-            "loss" => {
-                let (Some(round), Some(msg), Some(from), Some(to)) = (
-                    field_u64(fields, "round"),
-                    field_u64(fields, "msg"),
-                    field_u64(fields, "from"),
-                    field_u64(fields, "to"),
-                ) else {
-                    return;
-                };
-                let cause = fields
-                    .iter()
-                    .find(|(k, _)| *k == "cause")
-                    .and_then(|(_, v)| v.as_str())
-                    .map(cause_code)
-                    .unwrap_or(255);
-                FlightRecord::Loss {
-                    round: round as u32,
-                    msg: msg as u32,
-                    from: from as u32,
-                    to: to as u32,
-                    cause,
-                }
-            }
-            "epoch_start" => {
-                let (Some(epoch), Some(start)) =
-                    (field_u64(fields, "epoch"), field_u64(fields, "start_round"))
-                else {
-                    return;
-                };
-                FlightRecord::EpochStart {
-                    epoch: epoch as u32,
-                    start_round: start as u32,
-                }
-            }
-            "epoch_end" => {
-                let Some(epoch) = field_u64(fields, "epoch") else {
-                    return;
-                };
-                FlightRecord::EpochEnd {
-                    epoch: epoch as u32,
-                }
-            }
-            "churn" => {
-                let (Some(round), Some(u), Some(v)) = (
-                    field_u64(fields, "round"),
-                    field_u64(fields, "u"),
-                    field_u64(fields, "v"),
-                ) else {
-                    return;
-                };
-                let op = fields
-                    .iter()
-                    .find(|(k, _)| *k == "op")
-                    .and_then(|(_, val)| val.as_str())
-                    .map(churn_op_code)
-                    .unwrap_or(255);
-                FlightRecord::Churn {
-                    round: round as u32,
-                    op,
-                    u: u as u32,
-                    v: v as u32,
-                }
-            }
-            "alert" => {
-                let Some(round) = field_u64(fields, "round") else {
-                    return;
-                };
-                let label = |key: &str| {
-                    fields
-                        .iter()
-                        .find(|(k, _)| *k == key)
-                        .and_then(|(_, v)| v.as_str())
-                };
-                // Bit patterns, not field_u64: the observed value and
-                // threshold are true f64s and must round-trip exactly.
-                let bits = |key: &str| {
-                    fields
-                        .iter()
-                        .find(|(k, _)| *k == key)
-                        .and_then(|(_, v)| v.as_f64())
-                        .map(f64::to_bits)
-                        .unwrap_or(0f64.to_bits())
-                };
-                FlightRecord::Alert {
-                    round: round as u32,
-                    rule: label("rule").map(alert_rule_code).unwrap_or(255),
-                    severity: label("severity").map(alert_severity_code).unwrap_or(255),
-                    value_bits: bits("value"),
-                    threshold_bits: bits("threshold"),
-                }
-            }
-            _ => return,
+                    known_pairs,
+                },
+                None => return,
+            },
         };
         self.buf().push(&rec);
     }
@@ -1111,9 +1030,9 @@ impl Recorder for Tee<'_> {
         self.b.observe(name, value);
     }
 
-    fn event(&self, name: &str, fields: &[(&str, Value)]) {
-        self.a.event(name, fields);
-        self.b.event(name, fields);
+    fn event(&self, event: RunEvent<'_>) {
+        self.a.event(event);
+        self.b.event(event);
     }
 
     fn span_observe(&self, path: &str, nanos: u64) {
@@ -1176,35 +1095,38 @@ mod tests {
     fn capture_decodes_losslessly() {
         let rec = FlightRecorder::new(header());
         rec.transmission(0, 0, 0, &[1, 2]);
-        rec.event(
-            "loss",
-            &[
-                ("round", Value::from_u64(0)),
-                ("msg", Value::from_u64(0)),
-                ("from", Value::from_u64(0)),
-                ("to", Value::from_u64(2)),
-                ("cause", Value::String("sampled".to_string())),
-            ],
-        );
-        rec.event(
-            "round_end",
-            &[
-                ("round", Value::from_u64(0)),
-                ("known_pairs", Value::from_u64(5)),
-            ],
-        );
-        rec.event(
-            "epoch_start",
-            &[
-                ("epoch", Value::from_u64(1)),
-                ("start_round", Value::from_u64(1)),
-            ],
-        );
-        rec.event("epoch_end", &[("epoch", Value::from_u64(1))]);
+        rec.event(RunEvent::Loss {
+            round: 0,
+            msg: 0,
+            from: 0,
+            to: 2,
+            cause: "sampled",
+        });
+        rec.event(RunEvent::RoundEnd {
+            round: 0,
+            delivered: 1,
+            lost: Some(1),
+            known_pairs: 5,
+        });
+        rec.event(RunEvent::EpochStart {
+            epoch: 1,
+            start_round: 1,
+        });
+        rec.event(RunEvent::EpochEnd {
+            epoch: 1,
+            start_round: 1,
+            rounds: 1,
+            delivered: 1,
+            lost: 1,
+            residual_after: 0,
+        });
         // Metrics calls and unrelated events leave no records.
         rec.counter("x", 1);
         rec.gauge("y", 2.0);
-        rec.event("span", &[]);
+        rec.event(RunEvent::Span {
+            path: "run",
+            elapsed_ns: 7,
+        });
 
         let bytes = rec.finish();
         let log = FlightLog::decode(&bytes).expect("decodes");
@@ -1225,13 +1147,12 @@ mod tests {
     fn ring_buffer_evicts_oldest_and_counts_drops() {
         let rec = FlightRecorder::with_capacity(header(), 2);
         for round in 0..5u64 {
-            rec.event(
-                "round_end",
-                &[
-                    ("round", Value::from_u64(round)),
-                    ("known_pairs", Value::from_u64(round)),
-                ],
-            );
+            rec.event(RunEvent::RoundEnd {
+                round,
+                delivered: 0,
+                lost: None,
+                known_pairs: round,
+            });
         }
         assert_eq!(rec.len(), 2);
         assert_eq!(rec.dropped(), 3);
@@ -1267,13 +1188,12 @@ mod tests {
         assert!(tee.wants_transmissions());
         tee.counter("c", 2);
         tee.transmission(0, 1, 0, &[1]);
-        tee.event(
-            "round_end",
-            &[
-                ("round", Value::from_u64(0)),
-                ("known_pairs", Value::from_u64(1)),
-            ],
-        );
+        tee.event(RunEvent::RoundEnd {
+            round: 0,
+            delivered: 1,
+            lost: None,
+            known_pairs: 1,
+        });
         assert_eq!(m.counter_value("c"), 2);
         assert_eq!(m.events_emitted(), 1);
         let log = FlightLog::decode(&f.finish()).unwrap();
@@ -1324,24 +1244,20 @@ mod tests {
     #[test]
     fn alert_records_roundtrip() {
         let rec = FlightRecorder::new(header());
-        rec.event(
-            "round_end",
-            &[
-                ("round", Value::from_u64(2)),
-                ("known_pairs", Value::from_u64(9)),
-            ],
-        );
-        rec.event(
-            "alert",
-            &[
-                ("rule", Value::String("bound".to_string())),
-                ("round", Value::from_u64(2)),
-                ("severity", Value::String("critical".to_string())),
-                ("message", Value::String("projected breach".to_string())),
-                ("value", Value::from_f64(17.25)),
-                ("threshold", Value::from_f64(6.5)),
-            ],
-        );
+        rec.event(RunEvent::RoundEnd {
+            round: 2,
+            delivered: 3,
+            lost: None,
+            known_pairs: 9,
+        });
+        rec.event(RunEvent::Alert {
+            rule: "bound",
+            round: 2,
+            severity: "critical",
+            message: "projected breach",
+            value: 17.25,
+            threshold: 6.5,
+        });
         let bytes = rec.finish();
         let log = FlightLog::decode(&bytes).expect("decodes");
         assert_eq!(log.encode(), bytes, "re-encode is byte-identical");
@@ -1369,25 +1285,19 @@ mod tests {
     #[test]
     fn churn_records_roundtrip() {
         let rec = FlightRecorder::new(header());
-        rec.event(
-            "churn",
-            &[
-                ("round", Value::from_u64(3)),
-                ("op", Value::String("edge_remove".to_string())),
-                ("u", Value::from_u64(1)),
-                ("v", Value::from_u64(2)),
-            ],
-        );
-        rec.event(
-            "loss",
-            &[
-                ("round", Value::from_u64(4)),
-                ("msg", Value::from_u64(0)),
-                ("from", Value::from_u64(1)),
-                ("to", Value::from_u64(2)),
-                ("cause", Value::String("churn_invalidated".to_string())),
-            ],
-        );
+        rec.event(RunEvent::Churn {
+            round: 3,
+            op: "edge_remove",
+            u: 1,
+            v: 2,
+        });
+        rec.event(RunEvent::Loss {
+            round: 4,
+            msg: 0,
+            from: 1,
+            to: 2,
+            cause: CHURN_INVALIDATED,
+        });
         let bytes = rec.finish();
         let log = FlightLog::decode(&bytes).expect("decodes");
         assert_eq!(log.encode(), bytes, "re-encode is byte-identical");

@@ -2,7 +2,8 @@
 //!
 //! Zero-dependency observability for the gossip workspace: counters,
 //! gauges, histograms with percentile summaries, RAII nested spans, a
-//! JSONL event sink, and a JSON snapshot of everything recorded.
+//! JSONL sink for the typed [`RunEvent`] stream, and a JSON snapshot of
+//! everything recorded.
 //!
 //! The [`Recorder`] trait is object-safe so instrumented code takes
 //! `&dyn Recorder`; [`NoopRecorder`] short-circuits every call via
@@ -32,12 +33,14 @@
 #![cfg_attr(not(feature = "prof-alloc"), forbid(unsafe_code))]
 #![cfg_attr(feature = "prof-alloc", deny(unsafe_code))]
 
+pub mod event;
 pub mod flight;
 pub mod live;
 pub mod profile;
 pub mod trace;
 pub mod watch;
 
+pub use event::{RunEvent, CHURN_INVALIDATED};
 pub use flight::{FlightHeader, FlightLog, FlightRecord, FlightRecorder, Tee};
 pub use live::LiveRegistry;
 pub use trace::{ChromeTrace, TraceEvent};
@@ -92,8 +95,8 @@ pub trait Recorder: Send + Sync {
     /// Records `value` into the named histogram.
     fn observe(&self, name: &str, value: f64);
 
-    /// Emits a structured event to the JSONL sink (if any).
-    fn event(&self, name: &str, fields: &[(&str, Value)]);
+    /// Reports one structured run event.
+    fn event(&self, event: RunEvent<'_>);
 
     /// Records one completed span occurrence at `path` taking `nanos`.
     /// Called by [`SpanGuard`]; not usually called directly.
@@ -212,7 +215,7 @@ impl Recorder for NoopRecorder {
     fn counter(&self, _name: &str, _delta: u64) {}
     fn gauge(&self, _name: &str, _value: f64) {}
     fn observe(&self, _name: &str, _value: f64) {}
-    fn event(&self, _name: &str, _fields: &[(&str, Value)]) {}
+    fn event(&self, _event: RunEvent<'_>) {}
     fn span_observe(&self, _path: &str, _nanos: u64) {}
 }
 
@@ -449,19 +452,16 @@ impl Recorder for MetricsRecorder {
             .record(value);
     }
 
-    fn event(&self, name: &str, fields: &[(&str, Value)]) {
+    fn event(&self, event: RunEvent<'_>) {
         {
             self.registry().events_emitted += 1;
         }
         let mut sink = self.sink.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(sink) = sink.as_mut() {
-            let mut members = vec![
-                ("t_ms".to_string(), Value::from_f64(self.elapsed_ms())),
-                ("event".to_string(), Value::String(name.to_string())),
-            ];
-            members.extend(fields.iter().map(|(k, v)| (k.to_string(), v.clone())));
-            let line = serde_json::to_string(&Value::Object(members))
-                .unwrap_or_else(|_| String::from("{}"));
+            let line = event.to_line(vec![(
+                "t_ms".to_string(),
+                Value::from_f64(self.elapsed_ms()),
+            )]);
             let _ = writeln!(sink, "{line}");
         }
     }
@@ -474,13 +474,10 @@ impl Recorder for MetricsRecorder {
                 .or_default()
                 .record(nanos as f64);
         }
-        self.event(
-            "span",
-            &[
-                ("path", Value::String(path.to_string())),
-                ("elapsed_ns", Value::from_u64(nanos)),
-            ],
-        );
+        self.event(RunEvent::Span {
+            path,
+            elapsed_ns: nanos,
+        });
     }
 }
 
@@ -641,10 +638,15 @@ mod tests {
     fn jsonl_sink_receives_events_and_spans() {
         let buffer = SharedBuffer::new();
         let r = MetricsRecorder::with_sink(Box::new(buffer.clone()));
-        r.event(
-            "round",
-            &[("round", Value::from_u64(1)), ("sent", Value::from_u64(4))],
-        );
+        r.event(RunEvent::Round {
+            round: 1,
+            sent: 4,
+            deliveries: 4,
+            max_fanout: 1,
+            idle_receivers: 0,
+            coverage: 0.5,
+            known_pairs: 8,
+        });
         {
             let _s = r.span("work");
         }
@@ -666,7 +668,7 @@ mod tests {
         r.counter("x", 1);
         r.gauge("y", 2.0);
         r.observe("z", 3.0);
-        r.event("e", &[]);
+        r.event(RunEvent::RoundStart { round: 0 });
         {
             let guard = r.span("quiet");
             assert_eq!(guard.path(), None);

@@ -22,7 +22,7 @@
 //! Prometheus text exposition format; [`LiveRegistry::snapshot`] produces
 //! the same JSON document shape as [`crate::MetricsRecorder::snapshot`].
 
-use crate::{Histogram, Recorder, Value, SCHEMA_VERSION};
+use crate::{Histogram, Recorder, RunEvent, Value, SCHEMA_VERSION};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -258,7 +258,7 @@ impl Recorder for LiveRegistry {
         cell.lock().unwrap_or_else(|e| e.into_inner()).record(value);
     }
 
-    fn event(&self, name: &str, fields: &[(&str, Value)]) {
+    fn event(&self, event: RunEvent<'_>) {
         let seq = self.events_emitted.fetch_add(1, Ordering::Relaxed) + 1;
         // Render only when a subscriber is listening: the tap read lock is
         // uncontended in steady state and `None` short-circuits all work.
@@ -269,14 +269,10 @@ impl Recorder for LiveRegistry {
             .as_ref()
             .map(Arc::clone);
         if let Some(tap) = tap {
-            let mut members = vec![
+            let line = event.to_line(vec![
                 ("seq".to_string(), Value::from_u64(seq)),
                 ("t_ms".to_string(), Value::from_f64(self.elapsed_ms())),
-                ("event".to_string(), Value::String(name.to_string())),
-            ];
-            members.extend(fields.iter().map(|(k, v)| (k.to_string(), v.clone())));
-            let line = serde_json::to_string(&Value::Object(members))
-                .unwrap_or_else(|_| String::from("{}"));
+            ]);
             tap(seq, &line);
         }
     }
@@ -318,16 +314,31 @@ mod tests {
     #[test]
     fn events_count_without_tap_and_render_with_tap() {
         let r = LiveRegistry::new();
-        r.event("round_end", &[("round", Value::from_u64(3))]);
+        r.event(RunEvent::RoundEnd {
+            round: 3,
+            delivered: 0,
+            lost: None,
+            known_pairs: 0,
+        });
         assert_eq!(r.events_emitted(), 1);
         let lines: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&lines);
         r.set_event_tap(Arc::new(move |_seq, line| {
             sink.lock().unwrap().push(line.to_string());
         }));
-        r.event("round_end", &[("round", Value::from_u64(4))]);
+        r.event(RunEvent::RoundEnd {
+            round: 4,
+            delivered: 0,
+            lost: None,
+            known_pairs: 0,
+        });
         r.clear_event_tap();
-        r.event("round_end", &[("round", Value::from_u64(5))]);
+        r.event(RunEvent::RoundEnd {
+            round: 5,
+            delivered: 0,
+            lost: None,
+            known_pairs: 0,
+        });
         assert_eq!(r.events_emitted(), 3);
         let lines = lines.lock().unwrap();
         assert_eq!(lines.len(), 1, "only the tapped event renders");
@@ -364,7 +375,7 @@ mod tests {
         a.observe("fanout", 1.0);
         b.observe("fanout", 2.0);
         b.observe("fanout", 3.0);
-        b.event("e", &[]);
+        b.event(RunEvent::RoundStart { round: 0 });
         a.merge(&b);
         assert_eq!(a.counter_value("sends"), 7);
         assert_eq!(a.counter_value("losses"), 1);
@@ -384,7 +395,7 @@ mod tests {
                         r.counter("hits", 1);
                         r.gauge(&format!("g{i}"), j as f64);
                         r.observe("lat", j as f64);
-                        r.event("tick", &[]);
+                        r.event(RunEvent::RoundStart { round: j });
                     }
                 });
             }
