@@ -279,7 +279,7 @@ pub fn exp_scaling_full_with(sizes: &[SizeBudget]) -> (String, gossip_telemetry:
                 let t5 = Instant::now();
                 let tree_f =
                     min_depth_spanning_tree_fast_recorded(&g, ChildOrder::ById, &recorder).unwrap();
-                let flat_f = gossip_core::concurrent_updown_flat_recorded(&tree_f, &recorder);
+                let flat_f = gossip_core::concurrent_updown_flat(&tree_f, &recorder);
                 flat_f
                     .validate(&g, CommModel::Multicast, origins.len())
                     .unwrap();
@@ -316,7 +316,7 @@ pub fn exp_scaling_full_with(sizes: &[SizeBudget]) -> (String, gossip_telemetry:
                 let t0 = Instant::now();
                 let tree =
                     min_depth_spanning_tree_fast_recorded(&g, ChildOrder::ById, &recorder).unwrap();
-                let flat = gossip_core::concurrent_updown_flat_recorded(&tree, &recorder);
+                let flat = gossip_core::concurrent_updown_flat(&tree, &recorder);
                 let origins = gossip_core::tree_origins(&tree);
                 flat.validate(&g, CommModel::Multicast, origins.len())
                     .unwrap();

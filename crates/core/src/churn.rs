@@ -385,6 +385,30 @@ fn missing_among(present: &[bool], holds: &[BitSet], n_msgs: usize) -> usize {
         .sum()
 }
 
+/// The deliveries [`plan_completion`] makes from `holds` when the present
+/// vertices are connected, without planning.
+///
+/// The planner delivers a message only to a present receiver that misses
+/// it, at most once per receiver per round, and it stops only when no
+/// present holder has a present neighbour missing a message it holds; on
+/// a connected present graph that means every message is held by all
+/// present vertices or by none. So it delivers each message held by some
+/// present vertex once to every present vertex missing it:
+/// `|held anywhere| · present − Σ |holds[v]|` over present `v`.
+fn completion_deliveries(present: &[bool], holds: &[BitSet]) -> usize {
+    let Some(first) = holds.first() else {
+        return 0;
+    };
+    let mut held_anywhere = BitSet::new(first.capacity());
+    let (mut vertices, mut pairs_held) = (0usize, 0usize);
+    for (_, h) in present.iter().zip(holds).filter(|(&p, _)| p) {
+        held_anywhere.union_with(h);
+        vertices += 1;
+        pairs_held += h.len();
+    }
+    held_anywhere.len() * vertices - pairs_held
+}
+
 /// Applies a churn batch to a raw graph + presence mask (the path for
 /// batches the [`TreeMaintainer`] cannot hold: node events, or a network
 /// churn has disconnected).
@@ -598,11 +622,11 @@ impl<'a> ChurnExecutor<'a> {
 
             // --- repair
             let connected = present_connected(&graph, &present);
-            let scratch_plan = plan_completion(&graph, &holds, &present);
-            let scratch = scratch_plan.schedule.stats().deliveries;
-            let (decision, repaired) = if root_departed || !connected {
+            let (decision, repaired, scratch) = if root_departed || !connected {
                 // The root component changed: replan the world from
                 // current knowledge, discarding the surviving schedule.
+                let scratch_plan = plan_completion(&graph, &holds, &present);
+                let scratch = scratch_plan.schedule.stats().deliveries;
                 for round in pending.rounds.iter_mut().skip(time) {
                     round.transmissions.clear();
                 }
@@ -619,11 +643,22 @@ impl<'a> ChurnExecutor<'a> {
                         root = m.plan().tree.root();
                     }
                 }
-                (RepairDecision::FullReplan, scratch)
+                (RepairDecision::FullReplan, scratch, scratch)
             } else {
                 // Incremental: keep every surviving entry, project what
                 // they still deliver on the patched graph, and plan only
-                // the uncovered residual as a tail.
+                // the uncovered residual as a tail. The from-scratch cost
+                // it is reported against has a closed form here, because
+                // the present vertices are connected.
+                let scratch = completion_deliveries(&present, &holds);
+                debug_assert_eq!(
+                    scratch,
+                    plan_completion(&graph, &holds, &present)
+                        .schedule
+                        .stats()
+                        .deliveries,
+                    "closed-form scratch count disagrees with plan_completion"
+                );
                 let projected = project_holds(&graph, &present, &holds, &pending, time);
                 let completion = plan_completion(&graph, &projected, &present);
                 let tail = completion.schedule.stats().deliveries;
@@ -632,7 +667,7 @@ impl<'a> ChurnExecutor<'a> {
                     pending.merge(&completion.schedule.shifted(start, 0));
                 }
                 incremental_repairs += 1;
-                (RepairDecision::Incremental, tail)
+                (RepairDecision::Incremental, tail, scratch)
             };
             repaired_total += repaired;
             scratch_total += scratch;
@@ -1077,5 +1112,47 @@ mod tests {
             (report.repaired_entries + report.fallback_entries) as u64
         );
         assert!(rec.events_emitted() > 0);
+    }
+
+    #[test]
+    fn completion_deliveries_matches_plan_completion() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(5);
+        let graphs = [
+            ring(8),
+            petersen(),
+            gossip_workloads::random_connected(24, 0.15, 3),
+            gossip_workloads::random_connected(40, 0.08, 9),
+        ];
+        let mut checked = 0;
+        for g in &graphs {
+            let n = g.n();
+            for case in 0..60 {
+                // Departures, some messages extinct among the present
+                // vertices, and hold sets from sparse to nearly full.
+                let present: Vec<bool> = (0..n).map(|_| case < 5 || rng.gen_bool(0.8)).collect();
+                if !present_connected(g, &present) {
+                    continue;
+                }
+                let density = [0.05, 0.3, 0.7, 0.95][case % 4];
+                let mut holds = vec![BitSet::new(n); n];
+                for (v, h) in holds.iter_mut().enumerate() {
+                    h.insert(v);
+                    for m in 0..n {
+                        if rng.gen_bool(density) {
+                            h.insert(m);
+                        }
+                    }
+                }
+                let expected = plan_completion(g, &holds, &present)
+                    .schedule
+                    .stats()
+                    .deliveries;
+                assert_eq!(completion_deliveries(&present, &holds), expected);
+                checked += 1;
+            }
+        }
+        assert!(checked > 100, "only {checked} connected states drawn");
     }
 }

@@ -90,8 +90,7 @@ pub use classify::{classify, is_lip, is_rip, MessageClass};
 pub use concurrent::{concurrent_updown, concurrent_updown_recorded, tree_origins};
 pub use exact::{optimal_gossip_schedule, optimal_gossip_time, ExactResult};
 pub use fast_planner::{
-    concurrent_updown_flat, concurrent_updown_flat_on, concurrent_updown_flat_recorded,
-    FastGossipPlan, FlatLabels,
+    concurrent_updown_flat, concurrent_updown_flat_on, FastGossipPlan, FlatLabels,
 };
 pub use gather::gather_schedule;
 pub use labeling::{LabelView, VertexParams};

@@ -183,7 +183,7 @@ impl<'g> GossipPlanner<'g> {
     /// The fast planning path: pruned multi-source bitset sweep for the
     /// tree ([`min_depth_spanning_tree_fast_recorded`]) followed by the
     /// CSR-direct ConcurrentUpDown generator
-    /// ([`concurrent_updown_flat_recorded`](crate::concurrent_updown_flat_recorded)).
+    /// ([`concurrent_updown_flat`](crate::concurrent_updown_flat)).
     /// On the same tree the resulting schedule is byte-identical to
     /// flattening [`plan`](GossipPlanner::plan)'s; the tree itself may
     /// differ from the reference construction only when root-candidate
